@@ -17,14 +17,13 @@ from .pair_states import (FidelityTrace, NotCospectralError, SupportPartition,
 from .relation_lattice import (ParityFunctional, RelationLattice,
                                build_relation_system, integer_kernel,
                                parity_holds)
-from .spectra import (ConvergenceError, Spectrum, TransitionMatrix,
-                      eigendecompose, path_spectrum, projector_residuals,
-                      transition_matrix)
+from .spectra import (Spectrum, TransitionMatrix, eigendecompose,
+                      path_spectrum, projector_residuals, transition_matrix)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "CrossCheck", "CycloElement", "FidelityTrace",
+    "CrossCheck", "CycloElement", "FidelityTrace",
     "Graph", "GraphParseError", "IntPolynomial", "NotCospectralError",
     "ParityFunctional", "PathClass", "RelationLattice", "SamePairError",
     "Spectrum", "SupportPartition", "TransitionMatrix", "Verdict",

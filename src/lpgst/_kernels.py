@@ -1,22 +1,11 @@
-"""Numeric hot loops: fidelity evaluation over time grids and the cyclic
-Jacobi eigensolver.
-
-Each kernel has a pure-numpy implementation and a numba-compiled one.
-Setting the environment variable ``LPGST_NO_NUMBA=1`` (or if numba is not
-importable) selects the numpy path. ``benchmarks/bench_kernels.py``
-compares the two.
-"""
+"""Numeric hot loop: the transfer fidelity evaluated over a time grid."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
-_NUMBA_DISABLED = os.environ.get("LPGST_NO_NUMBA", "").lower() in ("1", "true", "yes")
 
-
-def fidelity_grid_numpy(eigenvalues: np.ndarray, weights: np.ndarray,
-                        times: np.ndarray) -> np.ndarray:
+def fidelity_grid(eigenvalues: np.ndarray, weights: np.ndarray,
+                  times: np.ndarray) -> np.ndarray:
     """Transfer fidelity 0.25*|sum_r w_r exp(-i th_r t)|^2 at each grid time.
 
     Evaluated in chunks so a million-point grid never materializes the
@@ -30,136 +19,3 @@ def fidelity_grid_numpy(eigenvalues: np.ndarray, weights: np.ndarray,
         im = np.sin(tt) @ weights
         out[s:s + chunk] = 0.25 * (re * re + im * im)
     return out
-
-
-def jacobi_eigh_numpy(a: np.ndarray, max_sweeps: int, tol: float):
-    """Cyclic Jacobi diagonalization of symmetric a (copied, not mutated).
-
-    Returns (diag, vectors, off_norm, sweeps) where off_norm is the
-    remaining off-diagonal Frobenius norm scaled by max(1, ||a||_F).
-    Convergence is off_norm <= tol; the caller enforces the sweep cap.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    sweeps = 0
-    off = _off_norm_numpy(a) / scale
-    while off > tol and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        sweeps += 1
-        off = _off_norm_numpy(a) / scale
-    return np.diag(a).copy(), v, off, sweeps
-
-
-def _off_norm_numpy(a: np.ndarray) -> float:
-    # sum only off-diagonal squares; the ||A||_F^2 - ||diag||^2 shortcut
-    # cancels catastrophically once the matrix is nearly diagonal
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-fidelity_grid = fidelity_grid_numpy
-jacobi_eigh = jacobi_eigh_numpy
-NUMBA_ENABLED = False
-
-if not _NUMBA_DISABLED:
-    try:
-        from numba import njit, prange
-    except ImportError:
-        pass
-    else:
-        @njit(cache=True, parallel=True)
-        def fidelity_grid_numba(eigenvalues, weights, times):
-            m = eigenvalues.shape[0]
-            out = np.empty(times.shape[0])
-            for i in prange(times.shape[0]):
-                t = times[i]
-                re = 0.0
-                im = 0.0
-                for r in range(m):
-                    ph = eigenvalues[r] * t
-                    re += weights[r] * np.cos(ph)
-                    im += weights[r] * np.sin(ph)
-                out[i] = 0.25 * (re * re + im * im)
-            return out
-
-        @njit(cache=True)
-        def jacobi_eigh_numba(a_in, max_sweeps, tol):
-            a = a_in.copy()
-            n = a.shape[0]
-            v = np.eye(n)
-            frob = 0.0
-            for i in range(n):
-                for j in range(n):
-                    frob += a[i, j] * a[i, j]
-            scale = max(1.0, np.sqrt(frob))
-            sweeps = 0
-            off = _off_norm_numba(a) / scale
-            while off > tol and sweeps < max_sweeps:
-                for p in range(n - 1):
-                    for q in range(p + 1, n):
-                        apq = a[p, q]
-                        if abs(apq) <= 1e-30 * scale:
-                            continue
-                        theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                        if theta != 0.0:
-                            t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                        else:
-                            t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                        c = 1.0 / np.sqrt(t * t + 1.0)
-                        s = t * c
-                        for i in range(n):
-                            aip = a[i, p]
-                            aiq = a[i, q]
-                            a[i, p] = c * aip - s * aiq
-                            a[i, q] = s * aip + c * aiq
-                        for i in range(n):
-                            api = a[p, i]
-                            aqi = a[q, i]
-                            a[p, i] = c * api - s * aqi
-                            a[q, i] = s * api + c * aqi
-                        for i in range(n):
-                            vip = v[i, p]
-                            viq = v[i, q]
-                            v[i, p] = c * vip - s * viq
-                            v[i, q] = s * vip + c * viq
-                sweeps += 1
-                off = _off_norm_numba(a) / scale
-            diag = np.empty(n)
-            for i in range(n):
-                diag[i] = a[i, i]
-            return diag, v, off, sweeps
-
-        @njit(cache=True)
-        def _off_norm_numba(a):
-            n = a.shape[0]
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        acc += a[i, j] * a[i, j]
-            return np.sqrt(acc)
-
-        fidelity_grid = fidelity_grid_numba
-        jacobi_eigh = jacobi_eigh_numba
-        NUMBA_ENABLED = True

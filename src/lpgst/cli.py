@@ -16,7 +16,7 @@ import time
 from .decision import SamePairError, classify_path, cross_check
 from .graphs import GraphParseError, laplacian, parse_graph
 from .pair_states import fidelity_sweep
-from .spectra import ConvergenceError, eigendecompose, path_spectrum
+from .spectra import eigendecompose, path_spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -148,7 +148,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             source = args.graph
         trace = fidelity_sweep(spectrum, args.from_pair, args.to_pair,
                                args.tmax, args.steps)
-    except (OSError, GraphParseError, ConvergenceError, ValueError) as exc:
+    except (OSError, GraphParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":

@@ -157,12 +157,12 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     refined point is inserted into the returned trace, so sup_estimate is
     the maximum of the stored fidelities.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not math.isfinite(t_max) or t_max <= 0:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    c = np.ascontiguousarray(transfer_weights(s, frm, to))
-    thetas = np.ascontiguousarray(s.eigenvalues, dtype=np.float64)
+    c = transfer_weights(s, frm, to)
+    thetas = s.eigenvalues
     times = np.linspace(0.0, float(t_max), steps)
     fids = np.clip(_kernels.fidelity_grid(thetas, c, times), 0.0, 1.0)
 

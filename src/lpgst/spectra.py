@@ -1,27 +1,12 @@
-"""Laplacian eigendecomposition: closed form for paths, cyclic Jacobi for
-general symmetric matrices, eigenvalue grouping, projectors, and the
-continuous-time transition matrix exp(-itL).
+"""Laplacian eigendecomposition: closed form for paths, LAPACK
+(numpy.linalg.eigh) for general symmetric matrices, eigenvalue grouping,
+projectors, and the continuous-time transition matrix exp(-itL).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _kernels
-
-DEFAULT_JACOBI_TOL = 1e-12
-DEFAULT_JACOBI_SWEEPS = 100
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to converge; carries the off-diagonal residual."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"off-diagonal residual {residual:.3e} after {sweeps} sweeps")
-        self.residual = residual
-        self.sweeps = sweeps
 
 
 @dataclass(frozen=True)
@@ -78,17 +63,13 @@ def path_spectrum(n: int) -> Spectrum:
     )
 
 
-def eigendecompose(
-    lap: np.ndarray,
-    grouping_tol: float | None = None,
-    jacobi_tol: float = DEFAULT_JACOBI_TOL,
-    max_sweeps: int = DEFAULT_JACOBI_SWEEPS,
-) -> Spectrum:
+def eigendecompose(lap: np.ndarray, grouping_tol: float | None = None) -> Spectrum:
     """Diagonalize a real symmetric matrix and group near-equal eigenvalues.
 
     Eigenvalues closer than grouping_tol (default 1e-8 * (1 + spectral
     radius)) are merged into one multiplicity group with a combined
-    projector. Raises ConvergenceError if the sweep cap is exhausted.
+    projector. Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK
+    fails to converge.
     """
     a = np.asarray(lap, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -96,13 +77,7 @@ def eigendecompose(
     if not np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max())):
         raise ValueError("matrix is not symmetric")
 
-    diag, vectors, off, sweeps = _kernels.jacobi_eigh(a, max_sweeps, jacobi_tol)
-    if off > jacobi_tol:
-        raise ConvergenceError(off, sweeps)
-
-    order = np.argsort(diag, kind="stable")
-    diag = diag[order]
-    vectors = vectors[:, order]
+    diag, vectors = np.linalg.eigh(a)
     vectors = _canonicalize_signs(vectors)
 
     if grouping_tol is None:

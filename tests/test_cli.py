@@ -147,6 +147,15 @@ def test_sweep_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("tmax", ["nan", "inf"])
+def test_sweep_non_finite_tmax_exits_2(capsys, tmax):
+    code, out, err = _run(capsys, ["sweep", "--path", "5", "--from", "1,2",
+                                   "--to", "4,5", "--tmax", tmax])
+    assert code == 2
+    assert out == ""
+    assert "error: t_max" in err
+
+
 def test_sweep_bad_pair_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--path", "3", "--from", "1-2", "--to", "2,3",

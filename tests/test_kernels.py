@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -13,59 +9,7 @@ def test_fidelity_grid_numpy_matches_direct_formula():
     thetas = rng.uniform(0.0, 4.0, size=6)
     weights = rng.normal(size=6)
     times = rng.uniform(0.0, 100.0, size=500)
-    got = _kernels.fidelity_grid_numpy(thetas, weights, np.sort(times))
+    got = _kernels.fidelity_grid(thetas, weights, np.sort(times))
     for t, f in zip(np.sort(times), got):
         amp = 0.5 * np.sum(weights * np.exp(-1j * t * thetas))
         assert f == pytest.approx(abs(amp) ** 2, abs=1e-12)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba path disabled")
-def test_fidelity_grid_backends_agree():
-    rng = np.random.default_rng(53)
-    thetas = rng.uniform(0.0, 4.0, size=9)
-    weights = rng.normal(size=9)
-    times = np.linspace(0.0, 500.0, 20_000)
-    a = _kernels.fidelity_grid_numpy(thetas, weights, times)
-    b = _kernels.fidelity_grid_numba(thetas, weights, times)
-    assert np.abs(a - b).max() < 1e-12
-
-
-def test_jacobi_numpy_diagonalizes():
-    rng = np.random.default_rng(57)
-    a = rng.normal(size=(10, 10))
-    a = a + a.T
-    diag, vectors, off, sweeps = _kernels.jacobi_eigh_numpy(a, 100, 1e-12)
-    assert off <= 1e-12
-    assert sweeps <= 100
-    rebuilt = vectors @ np.diag(diag) @ vectors.T
-    assert np.abs(rebuilt - a).max() < 1e-10
-    assert np.abs(vectors @ vectors.T - np.eye(10)).max() < 1e-12
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba path disabled")
-def test_jacobi_backends_agree():
-    rng = np.random.default_rng(59)
-    a = rng.normal(size=(14, 14))
-    a = a + a.T
-    d1, _, off1, _ = _kernels.jacobi_eigh_numpy(a, 100, 1e-12)
-    d2, _, off2, _ = _kernels.jacobi_eigh_numba(a, 100, 1e-12)
-    assert off1 <= 1e-12 and off2 <= 1e-12
-    assert np.abs(np.sort(d1) - np.sort(d2)).max() < 1e-10
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, LPGST_NO_NUMBA="1")
-    code = ("from lpgst import _kernels; "
-            "assert not _kernels.NUMBA_ENABLED; "
-            "assert _kernels.fidelity_grid is _kernels.fidelity_grid_numpy; "
-            "assert _kernels.jacobi_eigh is _kernels.jacobi_eigh_numpy")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_default_backend_is_numba_when_available():
-    env = {k: v for k, v in os.environ.items() if k != "LPGST_NO_NUMBA"}
-    code = ("import importlib.util, sys\n"
-            "from lpgst import _kernels\n"
-            "if importlib.util.find_spec('numba'):\n"
-            "    assert _kernels.NUMBA_ENABLED\n")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

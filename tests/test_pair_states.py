@@ -174,8 +174,9 @@ def test_fidelity_sweep_trace_invariants():
 
 def test_fidelity_sweep_validates_arguments():
     s = path_spectrum(3)
-    with pytest.raises(ValueError):
-        fidelity_sweep(s, (1, 2), (2, 3), -1.0, 100)
+    for t_max in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            fidelity_sweep(s, (1, 2), (2, 3), t_max, 100)
     with pytest.raises(ValueError):
         fidelity_sweep(s, (1, 2), (2, 3), 10.0, 1)
 
