@@ -67,6 +67,10 @@ def _emit(text: str) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.n.start < 2:
+        print(f"error: path needs at least 2 vertices, got n={args.n.start}",
+              file=sys.stderr)
+        return 2
     rows = []
     for n in args.n:
         if args.a == "all":
@@ -83,6 +87,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "verdict": "yes" if verdict.has_lpgst else "no",
                 "rule": verdict.rule,
             })
+    if not rows:
+        print(f"error: --a {_span_text(args.a)} selects no a in 1..n-1 "
+              f"for --n {_span_text(args.n)}", file=sys.stderr)
+        return 2
     rows.sort(key=lambda r: (r["n"], r["a"]))
     if args.format == "csv":
         lines = [f"# schema_version={SCHEMA_VERSION}", "n,a,verdict,rule"]

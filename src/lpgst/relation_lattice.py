@@ -4,11 +4,20 @@ test over it.
 The system stacks one column per support eigenvalue: the exact cyclotomic
 coefficients of the eigenvalue with an extra all-ones row encoding the
 zero-sum constraint. Its integer kernel is computed by unimodular column
-reduction, so the returned basis generates every integer solution.
+reduction (Cohen, A Course in Computational Algebraic Number Theory,
+2.4), so the returned basis generates every integer solution.
+
+The reduction and the re-verification run as integer array operations:
+numpy int64 while a bound rules out overflow (elimination entries below
+2**31; for the check, bits of the largest column entry, of the largest
+basis entry and of the column count summing below 63), and the same code
+on Python ints in an object array otherwise. Results are exact either way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cyclotomic import theta_element
 from .pair_states import SupportPartition
@@ -45,11 +54,15 @@ def integer_kernel(columns: list[tuple[int, ...]],
                    index_map: tuple[int, ...] | None = None) -> RelationLattice:
     """Basis of {v integer : sum_j v_j * columns[j] = 0}, exactly.
 
-    Runs gcd-style column elimination row by row, always reducing against
-    the smallest-magnitude entry with nearest-integer quotients to keep
-    intermediates small. The accumulated transform is unimodular, so the
-    zero columns at the end span (and saturate) the kernel. The product
-    of the input matrix with the basis is re-verified before returning.
+    Runs gcd-style column elimination row by row on an integer array,
+    always reducing against the smallest-magnitude entry with
+    nearest-integer quotients to keep intermediates small. The
+    accumulated transform is unimodular, so the zero columns at the end
+    span (and saturate) the kernel. The elimination runs in int64 while
+    every entry stays below 2**31 and is redone on Python ints (an object
+    array) as soon as one does not; the basis is the same either way. The
+    product of the input matrix with the basis is re-verified exactly
+    before returning.
     """
     d = len(columns)
     if index_map is None:
@@ -60,42 +73,93 @@ def integer_kernel(columns: list[tuple[int, ...]],
     if any(len(c) != rows for c in columns):
         raise ValueError("columns must all have the same length")
 
-    mat = [list(c) for c in columns]            # mat[j][i]: column j, row i
-    transform = [[int(i == j) for i in range(d)] for j in range(d)]
-    live = list(range(d))
+    mat = _exact_array(columns)                 # mat[j, i]: column j, row i
+    basis = None
+    if mat.dtype != object and _max_abs(mat) < _ELIMINATION_BOUND:
+        basis = _kernel_basis(mat, np.int64)
+    if basis is None:
+        basis = _kernel_basis(mat, object)
+    if not _product_is_zero(mat, basis):
+        raise AssertionError("kernel verification failed")
+    return RelationLattice(d, basis, index_map)
+
+
+# int64 elimination is exact while every entry stays below 2**31: a
+# nearest-integer quotient q then has |q| <= 2**31, so one step's
+# |entry - q * pivot_entry| < 2**31 + 2**62 < 2**63.
+_ELIMINATION_BOUND = 2 ** 31
+
+
+def _kernel_basis(mat: np.ndarray, dtype) -> tuple[tuple[int, ...], ...] | None:
+    """Sorted, sign-normalized kernel basis of the columns in mat.
+
+    Works on one (d, rows + d) array of the given dtype: each row holds a
+    column of the system followed by its row of the unimodular transform.
+    Returns None when an int64 entry reaches _ELIMINATION_BOUND.
+    """
+    d, rows = mat.shape
+    work = np.zeros((d, rows + d), dtype=dtype)
+    work[:, :rows] = mat
+    work[:, rows:] = np.eye(d, dtype=dtype)
+    live = np.ones(d, dtype=bool)
 
     for row in range(rows):
-        active = [j for j in live if mat[j][row] != 0]
-        while len(active) > 1:
-            pivot = min(active, key=lambda j: abs(mat[j][row]))
-            piv_val = mat[pivot][row]
-            for j in active:
-                if j == pivot:
-                    continue
-                q = _nearest_quotient(mat[j][row], piv_val)
-                if q:
-                    _submul(mat[j], mat[pivot], q)
-                    _submul(transform[j], transform[pivot], q)
-            active = [j for j in active if mat[j][row] != 0]
-        if active:
-            live.remove(active[0])
+        active = np.flatnonzero(live & (work[:, row] != 0))
+        while active.size > 1:
+            entries = work[active, row]
+            # argmin takes the first smallest magnitude, as min(key=abs) does
+            at = np.argmin(np.abs(entries))
+            pivot = work[active[at]]
+            quot = entries // pivot[row]
+            quot[2 * np.abs(entries % pivot[row]) > abs(pivot[row])] += 1
+            quot[at] = 0
+            reduced = work[active] - np.outer(quot, pivot)
+            if dtype is not object and np.abs(reduced).max() >= _ELIMINATION_BOUND:
+                return None
+            work[active] = reduced
+            active = active[reduced[:, row] != 0]
+        if active.size:
+            live[active[0]] = False
 
+    assert not work[live, :rows].any()
     basis = []
-    for j in live:
-        assert all(v == 0 for v in mat[j])
-        vec = transform[j]
+    for vec in work[live, rows:].tolist():
         first = next((v for v in vec if v != 0), 0)
-        if first < 0:
-            vec = [-v for v in vec]
-        basis.append(tuple(vec))
+        basis.append(tuple(-v for v in vec) if first < 0 else tuple(vec))
     basis.sort()
+    return tuple(basis)
 
-    for vec in basis:
-        for i in range(rows):
-            total = sum(vec[j] * columns[j][i] for j in range(d))
-            if total != 0:
-                raise AssertionError("kernel verification failed")
-    return RelationLattice(d, tuple(basis), index_map)
+
+def _product_is_zero(columns, basis) -> bool:
+    """Whether every basis vector combines the columns to zero, exactly.
+
+    One matrix product, in int64 only when bits(max|column entry|) +
+    bits(max|basis entry|) + bits(number of columns) < 63 rules out
+    overflow (each of the d terms is below 2**(bits + bits)); on Python
+    ints otherwise.
+    """
+    cols = _exact_array(columns)
+    vecs = _exact_array(basis)
+    if cols.size == 0 or vecs.size == 0:
+        return True
+    bits = (_max_abs(cols).bit_length() + _max_abs(vecs).bit_length()
+            + len(cols).bit_length())
+    if bits >= 63:
+        cols, vecs = cols.astype(object), vecs.astype(object)
+    return not (vecs @ cols).any()
+
+
+def _exact_array(rows) -> np.ndarray:
+    """2-D integer array: int64 when every entry fits, Python ints otherwise."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    """Largest entry magnitude as a Python int (no int64 abs overflow)."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
 def build_relation_system(
@@ -138,16 +202,3 @@ def parity_holds(lat: RelationLattice,
         if sigma.dot(vec) % 2 != 0:
             return False, vec
     return True, None
-
-
-def _nearest_quotient(num: int, den: int) -> int:
-    """Integer q minimizing |num - q*den|."""
-    q, r = divmod(num, den)
-    if 2 * abs(r) > abs(den):
-        q += 1
-    return q
-
-
-def _submul(target: list[int], source: list[int], factor: int) -> None:
-    for i in range(len(target)):
-        target[i] -= factor * source[i]

@@ -182,6 +182,27 @@ def test_criterion_8_cyclotomic_exactness():
             worst < 1e-9, f"worst eigenvalue deviation {worst:.2e}")
 
 
+def _rref(rows):
+    """Reduced row echelon form over the rationals, and its pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    return rows, pivot_cols
+
+
 def _box_solutions(columns, box=3):
     """Every integer v with |v_i| <= box and sum_j v_j columns[j] = 0.
 
@@ -192,24 +213,9 @@ def _box_solutions(columns, box=3):
     """
     d = len(columns)
     rows = len(columns[0])
-    mat = [[Fraction(columns[j][i]) for j in range(d)] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(d):
-        pivot = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        lead = mat[r][c]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
+    mat, pivot_cols = _rref([[columns[j][i] for j in range(d)]
+                             for i in range(rows)])
+    pivots = list(enumerate(pivot_cols))
     free = sorted(set(range(d)) - {c for _, c in pivots})
     if not free:
         return [(0,) * d]  # full column rank: only the trivial relation
@@ -242,32 +248,38 @@ def _box_solutions(columns, box=3):
     return solutions
 
 
-def _in_lattice(basis, vector):
+def _lattice_membership(basis, vectors):
+    """For each integer vector, whether it is an integer combination of basis.
+
+    The basis is factored once: with B the matrix whose columns are the
+    basis vectors, P picks rows of B where B[P] is invertible, and
+    v = B c has the unique solution c = B[P]^-1 v[P]. So v lies in the
+    lattice exactly when that c is integral and B c == v.
+    """
+    vectors = np.asarray(vectors, dtype=np.int64)
     if not basis:
-        return all(v == 0 for v in vector)
-    rows = [[Fraction(b[i]) for b in basis] + [Fraction(vector[i])]
-            for i in range(len(vector))]
-    cols = len(basis)
-    pivot_row = 0
-    pivot_cols = []
-    for c in range(cols):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][c]
-        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][c] != 0:
-                factor = rows[r][c]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_cols.append(c)
-        pivot_row += 1
-    for r in range(pivot_row, len(rows)):
-        if rows[r][cols] != 0:
-            return False
-    coeffs = {c: rows[i][cols] for i, c in enumerate(pivot_cols)}
-    return all(coeffs.get(c, Fraction(0)).denominator == 1 for c in range(cols))
+        return ~vectors.any(axis=1)
+    k = len(basis)
+    _, rows_p = _rref(basis)            # pivot columns of B^T are rows of B
+    assert len(rows_p) == k, "basis vectors must be independent"
+    square = [[b[p] for b in basis] for p in rows_p]
+    reduced, _ = _rref([row + [int(i == j) for j in range(k)]
+                        for i, row in enumerate(square)])
+    inverse = [row[k:] for row in reduced]
+    denom = math.lcm(*(x.denominator for row in inverse for x in row))
+    inv_num = np.array([[int(x * denom) for x in row] for row in inverse],
+                       dtype=np.int64)
+    mat = np.array(basis, dtype=np.int64).T
+
+    def fits_int64(left, right):     # k-term products of left and right
+        return k * int(np.abs(left).max()) * int(np.abs(right).max()) < 2 ** 62
+
+    assert fits_int64(vectors, inv_num)
+    num = vectors[:, rows_p] @ inv_num.T
+    integral = np.all(num % denom == 0, axis=1)
+    coeffs = num // denom
+    assert fits_int64(coeffs, mat)
+    return integral & np.all(coeffs @ mat.T == vectors, axis=1)
 
 
 def test_criterion_9_lattice_saturation_and_parity():
@@ -279,9 +291,11 @@ def test_criterion_9_lattice_saturation_and_parity():
         columns, sigma, index_map = build_relation_system(n, part)
         lattice = integer_kernel(columns, index_map)
         is_yes = classify_path(n, a).has_lpgst
-        for v in _box_solutions(columns, box=3):
+        solutions = _box_solutions(columns, box=3)
+        inside = _lattice_membership(lattice.basis, solutions)
+        for v, member in zip(solutions, inside):
             checked += 1
-            if not _in_lattice(lattice.basis, v):
+            if not member:
                 escaped.append((n, a, v))
             if is_yes and sigma.dot(v) % 2 != 0:
                 odd_in_yes.append((n, a, v))

@@ -62,6 +62,26 @@ def test_classify_bad_range_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["--n", "0..3"], ["--n", "1"],
+                                  ["--n", "5", "--a", "7..9"],
+                                  ["--n", "4..6", "--a", "0"]])
+def test_classify_bad_or_empty_selection_exits_2(capsys, argv):
+    code, out, err = _run(capsys, ["classify", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_classify_partial_a_range_keeps_rows(capsys):
+    # a = 4..6 exceeds n - 1 only for the smaller paths: those rows drop
+    code, out, _ = _run(capsys, ["classify", "--n", "5..7", "--a", "4..6"])
+    assert code == 0
+    assert out.strip().splitlines()[2:] == [
+        "5,4,yes,odd-prime", "6,4,yes,two-power-times-prime",
+        "6,5,yes,two-power-times-prime", "7,4,yes,odd-prime",
+        "7,5,yes,odd-prime", "7,6,yes,odd-prime"]
+
+
 def test_decide_with_certificate(capsys):
     code, out, _ = _run(capsys, ["decide", "--n", "9", "--a", "1",
                                  "--certificate"])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lpgst.decision import (RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
@@ -163,6 +165,28 @@ def test_cross_check_agreement_small_range():
             if 2 * a == n:
                 continue
             assert cross_check(n, a).agree, (n, a)
+
+
+def _expected_lpgst(n, a):
+    """The characterization, restated: n a power of two or an odd prime, or
+    n = 2^t * p (p an odd prime, t >= 1) with 2^(t-1) dividing a."""
+    t, odd = factor_two_power(n)
+    if odd == 1:
+        return True
+    if any(odd % q == 0 for q in range(3, math.isqrt(odd) + 1, 2)):
+        return False
+    return t == 0 or a % 2 ** (t - 1) == 0
+
+
+@pytest.mark.slow
+def test_cross_check_exhaustive_61_to_128():
+    for n in range(61, 129):
+        for a in range(1, n):
+            if 2 * a == n:
+                continue
+            check = cross_check(n, a)
+            assert check.agree, (n, a)
+            assert check.closed_form.has_lpgst == _expected_lpgst(n, a), (n, a)
 
 
 def test_no_verdicts_always_carry_odd_certificates():

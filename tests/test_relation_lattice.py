@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpgst import relation_lattice
 from lpgst.pair_states import path_support_partition
 from lpgst.relation_lattice import (ParityFunctional, RelationLattice,
                                     build_relation_system, integer_kernel,
@@ -177,3 +180,89 @@ def test_restricted_and_generalized_systems_agree():
 def test_columns_must_share_length():
     with pytest.raises(ValueError, match="same length"):
         integer_kernel([(1, 2), (1,)])
+
+
+def test_int64_wraparound_cannot_pass_verification():
+    columns = [(2 ** 32,), (0,)]
+    basis = ((2 ** 32, 1),)           # wrong: combines the columns to 2**64
+    wrapped = np.array(basis, dtype=np.int64) @ np.array(columns, dtype=np.int64)
+    assert not wrapped.any()          # int64 wraps 2**64 around to 0
+    # 33 + 33 + bits(2) >= 63, so the product runs on Python ints
+    assert not relation_lattice._product_is_zero(columns, basis)
+    assert relation_lattice._product_is_zero(columns, ((0, 1),))
+
+    def wrong_basis(mat, dtype):
+        return basis
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation_lattice, "_kernel_basis", wrong_basis)
+        with pytest.raises(AssertionError, match="kernel verification failed"):
+            integer_kernel(columns)
+
+
+def _reference_integer_kernel(columns):
+    """The pure-Python column elimination integer_kernel ran before it
+    moved to integer arrays, frozen here as the reference for its basis."""
+    d = len(columns)
+    if d == 0:
+        return ()
+    rows = len(columns[0])
+    mat = [list(c) for c in columns]
+    transform = [[int(i == j) for i in range(d)] for j in range(d)]
+    live = list(range(d))
+
+    for row in range(rows):
+        active = [j for j in live if mat[j][row] != 0]
+        while len(active) > 1:
+            pivot = min(active, key=lambda j: abs(mat[j][row]))
+            piv_val = mat[pivot][row]
+            for j in active:
+                if j == pivot:
+                    continue
+                q, r = divmod(mat[j][row], piv_val)
+                if 2 * abs(r) > abs(piv_val):
+                    q += 1
+                if q:
+                    for i in range(rows):
+                        mat[j][i] -= q * mat[pivot][i]
+                    for i in range(d):
+                        transform[j][i] -= q * transform[pivot][i]
+            active = [j for j in active if mat[j][row] != 0]
+        if active:
+            live.remove(active[0])
+
+    basis = []
+    for j in live:
+        assert all(v == 0 for v in mat[j])
+        vec = transform[j]
+        first = next((v for v in vec if v != 0), 0)
+        if first < 0:
+            vec = [-v for v in vec]
+        basis.append(tuple(vec))
+    basis.sort()
+    for vec in basis:
+        for i in range(rows):
+            assert sum(vec[j] * columns[j][i] for j in range(d)) == 0
+    return tuple(basis)
+
+
+@st.composite
+def _integer_systems(draw):
+    """1-6 rows, 1-9 columns, entries at one scale from 4 to 2**70
+    (int64 start, int64 outgrown mid-elimination, Python ints from the
+    start), some columns zero."""
+    rows = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 9))
+    scale = draw(st.sampled_from([4, 2 ** 20, 2 ** 40, 2 ** 70]))
+    entry = st.integers(-scale, scale)
+    column = st.one_of(st.just((0,) * rows),
+                       st.tuples(*[entry] * rows))
+    return draw(st.lists(column, min_size=d, max_size=d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_systems())
+def test_integer_kernel_matches_frozen_reference(columns):
+    lattice = integer_kernel(columns)
+    assert lattice.basis == _reference_integer_kernel(columns)
+    assert all(type(v) is int for vec in lattice.basis for v in vec)
