@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpgst import relation_lattice
@@ -260,8 +260,16 @@ def _integer_systems(draw):
     return draw(st.lists(column, min_size=d, max_size=d))
 
 
+# Inputs below 2**31, yet int64 would wrap in the last row: the first row
+# leaves a transform of ~2**30 (consecutive Fibonacci numbers) over a row
+# entry 1, the second multiplies it by 2**30 and the third by 2**30 again.
+_FIB_OVERFLOW = [(1836311903, 1134903170, 0), (1134903170, 701408733, 0),
+                 (0, 2 ** 30, 1), (0, 0, 2 ** 30)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_integer_systems())
+@example(_FIB_OVERFLOW)
 def test_integer_kernel_matches_frozen_reference(columns):
     lattice = integer_kernel(columns)
     assert lattice.basis == _reference_integer_kernel(columns)
