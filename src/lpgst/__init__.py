@@ -4,7 +4,7 @@ Exact verdicts on paths via cyclotomic integer arithmetic and lattice
 parity; numeric evidence on arbitrary graphs via spectral fidelity sweeps.
 """
 from .cyclotomic import (CycloElement, IntPolynomial, cyclotomic_polynomial,
-                         euler_phi, reduce_mod, theta_element)
+                         euler_phi, theta_element)
 from .decision import (CrossCheck, PathClass, SamePairError, Verdict,
                        WitnessCheck, alternating_cosine_residual,
                        classify_path, cross_check, decide_path_lpgst,
@@ -33,7 +33,7 @@ __all__ = [
     "euler_phi", "fidelity_sweep", "integer_kernel", "laplacian",
     "make_path", "pair_fidelity", "parity_holds", "parse_graph",
     "path_class", "path_spectrum", "path_support_partition",
-    "projector_residuals", "reduce_mod", "serialize_graph",
+    "projector_residuals", "serialize_graph",
     "strong_cospectrality", "support", "theta_element", "transfer_weights",
     "transition_matrix", "verify_witness", "witness_relation",
 ]

@@ -46,15 +46,6 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(tuple(out))
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coefficients))
-
-    def scaled(self, factor: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(factor * c for c in self.coefficients))
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial(())
@@ -87,10 +78,6 @@ class IntPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    @staticmethod
-    def monomial(degree: int, coefficient: int = 1) -> "IntPolynomial":
-        return IntPolynomial((0,) * degree + (coefficient,))
 
 
 def euler_phi(m: int) -> int:
@@ -129,14 +116,6 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
     return poly
 
 
-def reduce_mod(p: IntPolynomial, phi: IntPolynomial) -> IntPolynomial:
-    """Remainder of p modulo a monic polynomial phi."""
-    if phi.is_zero() or not phi.is_monic():
-        raise ValueError("modulus must be monic and nonzero")
-    _, rem = divmod(p, phi)
-    return rem
-
-
 @dataclass(frozen=True)
 class CycloElement:
     """Element of Z[x]/Phi_2n(x) as a fixed-length coefficient vector.
@@ -155,59 +134,30 @@ class CycloElement:
                 f"need {expected} coefficients for modulus order "
                 f"{self.modulus_order}, got {len(self.coefficients)}")
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-    def __add__(self, other: "CycloElement") -> "CycloElement":
-        self._check_compatible(other)
-        return CycloElement(self.modulus_order, tuple(
-            a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "CycloElement") -> "CycloElement":
-        self._check_compatible(other)
-        return CycloElement(self.modulus_order, tuple(
-            a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def scaled(self, factor: int) -> "CycloElement":
-        return CycloElement(self.modulus_order,
-                            tuple(factor * c for c in self.coefficients))
-
     def evaluate_at_root(self) -> complex:
         """Numeric value at the primitive root exp(2 pi i / modulus_order)."""
         z = complex(math.cos(2 * math.pi / self.modulus_order),
                     math.sin(2 * math.pi / self.modulus_order))
         return IntPolynomial(self.coefficients).evaluate(z)
 
-    def _check_compatible(self, other: "CycloElement") -> None:
-        if self.modulus_order != other.modulus_order:
-            raise ValueError(
-                f"modulus orders differ: {self.modulus_order} vs {other.modulus_order}")
-
-    @staticmethod
-    def zero(modulus_order: int) -> "CycloElement":
-        return CycloElement(modulus_order, (0,) * euler_phi(modulus_order))
-
-
-def from_polynomial(p: IntPolynomial, modulus_order: int) -> CycloElement:
-    """Reduce an integer polynomial into Z[x]/Phi_m and pad to full length."""
-    phi = cyclotomic_polynomial(modulus_order)
-    rem = reduce_mod(p, phi)
-    width = phi.degree
-    coeffs = rem.coefficients + (0,) * (width - len(rem.coefficients))
-    return CycloElement(modulus_order, coeffs)
-
 
 @functools.lru_cache(maxsize=None)
 def theta_element(n: int, k: int) -> CycloElement:
     """Exact image of the path eigenvalue 2 - 2 cos(k pi / n).
 
-    Reduces 2 - x^k - x^(2n-k) modulo Phi_2n; evaluating the result at
-    the primitive 2n-th root recovers the floating-point eigenvalue.
-    Cached: the same (n, k) recurs across every pair offset a.
+    The eigenvalue is 2 - x^k - x^(2n-k) at the primitive 2n-th root.
+    Phi_2n divides x^n + 1, so x^(2n-k) = -x^(n-k) modulo Phi_2n and one
+    division of 2 - x^k + x^(n-k) (degree below n) by Phi_2n leaves the
+    reduced coefficients. Cached: the same (n, k) recurs across every
+    pair offset a.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
-    p = (IntPolynomial((2,))
-         - IntPolynomial.monomial(k)
-         - IntPolynomial.monomial(2 * n - k))
-    return from_polynomial(p, 2 * n)
+    coeffs = [0] * n
+    coeffs[0] = 2
+    coeffs[k] -= 1
+    coeffs[n - k] += 1
+    phi = cyclotomic_polynomial(2 * n)
+    _, rem = divmod(IntPolynomial(tuple(coeffs)), phi)
+    return CycloElement(2 * n, rem.coefficients
+                        + (0,) * (phi.degree - len(rem.coefficients)))

@@ -10,12 +10,14 @@ explicit integer witness vector that can be re-verified exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cyclotomic import CycloElement, theta_element
+from .cyclotomic import theta_element
 from .pair_states import path_support_partition
-from .relation_lattice import build_relation_system, integer_kernel, parity_holds
+from .relation_lattice import (_product_is_zero, build_relation_system,
+                               integer_kernel, parity_holds)
 
 RULE_POWER_OF_TWO = "power-of-two"
 RULE_ODD_PRIME = "odd-prime"
@@ -159,7 +161,7 @@ def classify_path(n: int, a: int) -> Verdict:
                    certificate=certificate, sigma_sum=sigma_sum)
 
 
-def decide_path_lpgst(n: int, a: int, restrict_to_support: bool = True) -> Verdict:
+def decide_path_lpgst(n: int, a: int) -> Verdict:
     """Exact lattice-pipeline verdict for the mirror edge pairs.
 
     Mirror pairs are always strongly cospectral, so the decision reduces
@@ -170,8 +172,7 @@ def decide_path_lpgst(n: int, a: int, restrict_to_support: bool = True) -> Verdi
     _validate_instance(n, a)
     frm, to = _mirror_pairs(n, a)
     part = path_support_partition(n, a)
-    columns, sigma, index_map = build_relation_system(
-        n, part, restrict_to_support=restrict_to_support)
+    columns, sigma, index_map = build_relation_system(n, part)
     lattice = integer_kernel(columns, index_map)
     holds, bad = parity_holds(lattice, sigma)
     if holds:
@@ -234,19 +235,22 @@ def verify_witness(n: int, a: int, relation: tuple[int, ...]) -> WitnessCheck:
     """Re-verify a witness vector with exact arithmetic.
 
     Checks the zero-sum constraint, the exact cyclotomic vanishing of the
-    eigenvalue combination, odd minus-parity, and that the vector is
-    supported only on support eigenvalue indices.
+    eigenvalue combination (the integer product the kernel re-verification
+    runs, over the eigenvalues the vector uses), odd minus-parity, and
+    that the vector is supported only on support eigenvalue indices.
     """
     if len(relation) != n - 1:
         raise ValueError(
             f"witness must have length {n - 1} for n={n}, got {len(relation)}")
+    # the integer product would truncate a fractional entry to an integer
+    if not all(isinstance(v, numbers.Integral) for v in relation):
+        raise ValueError("witness entries must be integers")
     part = path_support_partition(n, a)
     sum_zero = sum(relation) == 0
-    total = CycloElement.zero(2 * n)
-    for k in range(1, n):
-        if relation[k - 1]:
-            total = total + theta_element(n, k).scaled(relation[k - 1])
-    relation_zero = total.is_zero()
+    used = [k for k in range(1, n) if relation[k - 1]]
+    relation_zero = _product_is_zero(
+        [theta_element(n, k).coefficients for k in used],
+        [[relation[k - 1] for k in used]])
     sigma_sum = sum(relation[k - 1] for k in part.minus)
     off_support_zero = all(
         relation[k - 1] == 0 for k in part.excluded if 1 <= k <= n - 1)

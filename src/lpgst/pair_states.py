@@ -13,6 +13,10 @@ from .spectra import Spectrum
 
 DEFAULT_SUPPORT_TOL = 1e-8
 
+# Largest grid fidelity_sweep accepts, checked before anything is
+# allocated: 10M points already take 160 MB of times and fidelities.
+MAX_SWEEP_STEPS = 10_000_000
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -85,9 +89,7 @@ def transfer_weights(s: Spectrum, frm: tuple[int, int], to: tuple[int, int]) -> 
 def pair_fidelity(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
                   t: float) -> float:
     """|0.5 (e_a-e_b)^T U(t) (e_c-e_d)|^2, clamped to [0, 1]."""
-    c = transfer_weights(s, frm, to)
-    amp = 0.5 * np.sum(c * np.exp(-1j * t * s.eigenvalues))
-    return float(min(max(abs(amp) ** 2, 0.0), 1.0))
+    return _fidelity_at(s.eigenvalues, transfer_weights(s, frm, to), t)
 
 
 def support(s: Spectrum, pair: tuple[int, int],
@@ -152,15 +154,16 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
                    t_max: float, steps: int) -> FidelityTrace:
     """Grid sweep of the transfer fidelity over [0, t_max] with refinement.
 
-    Scans a uniform grid of `steps` points, then runs 60 golden-section
-    iterations in the one-cell window around the best grid point. The
-    refined point is inserted into the returned trace, so sup_estimate is
-    the maximum of the stored fidelities.
+    Scans a uniform grid of `steps` points (2..MAX_SWEEP_STEPS), then runs
+    60 golden-section iterations in the one-cell window around the best
+    grid point. The refined point is inserted into the returned trace, so
+    sup_estimate is the maximum of the stored fidelities.
     """
     if not math.isfinite(t_max) or t_max <= 0:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    if not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(
+            f"steps must lie in 2..{MAX_SWEEP_STEPS}, got {steps}")
     c = transfer_weights(s, frm, to)
     thetas = s.eigenvalues
     times = np.linspace(0.0, float(t_max), steps)

@@ -165,20 +165,14 @@ def _max_abs(arr: np.ndarray) -> int:
 def build_relation_system(
     n: int,
     part: SupportPartition,
-    restrict_to_support: bool = True,
 ) -> tuple[list[tuple[int, ...]], ParityFunctional, tuple[int, ...]]:
     """Columns, parity marks, and index map for the path relation system.
 
-    One column per eigenvalue index k: the cyclotomic coefficients of the
-    eigenvalue with a trailing 1 for the zero-sum constraint. By default
-    only support indices enter; restrict_to_support=False builds the wider
-    system over every k = 1..n-1 (a consistency/debug variant whose parity
-    outcome must agree with the restricted one).
+    One column per support eigenvalue index k: the cyclotomic
+    coefficients of the eigenvalue with a trailing 1 for the zero-sum
+    constraint.
     """
-    if restrict_to_support:
-        indices = sorted(part.support)
-    else:
-        indices = [k for k in range(1, n)]
+    indices = sorted(part.support)
     if not indices:
         raise ValueError("empty support: the relation system is degenerate")
     columns = [theta_element(n, k).coefficients + (1,) for k in indices]

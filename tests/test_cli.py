@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from lpgst.cli import main
+from lpgst.pair_states import MAX_SWEEP_STEPS
 
 
 def _run(capsys, argv):
@@ -174,6 +175,16 @@ def test_sweep_non_finite_tmax_exits_2(capsys, tmax):
     assert code == 2
     assert out == ""
     assert "error: t_max" in err
+
+
+@pytest.mark.parametrize("steps", [MAX_SWEEP_STEPS + 1, 10 ** 13])
+def test_sweep_steps_above_limit_exits_2(capsys, steps):
+    code, out, err = _run(capsys, ["sweep", "--path", "4", "--from", "1,2",
+                                   "--to", "3,4", "--tmax", "10",
+                                   "--steps", str(steps)])
+    assert code == 2
+    assert out == ""
+    assert f"error: steps must lie in 2..{MAX_SWEEP_STEPS}" in err
 
 
 def test_sweep_bad_pair_exits_2(capsys):

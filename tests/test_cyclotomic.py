@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from lpgst.cyclotomic import (CycloElement, IntPolynomial,
-                              cyclotomic_polynomial, euler_phi,
-                              from_polynomial, reduce_mod, theta_element)
+                              cyclotomic_polynomial, euler_phi, theta_element)
+from lpgst.relation_lattice import _product_is_zero
 
 
 def test_known_cyclotomic_polynomials():
@@ -39,18 +39,19 @@ def test_cyclotomic_vanishes_at_primitive_root():
         assert abs(cyclotomic_polynomial(2 * n).evaluate(z)) < 1e-8, n
 
 
-def test_reduce_mod_wraps_powers():
+def test_divmod_wraps_powers():
     phi8 = cyclotomic_polynomial(8)
-    assert reduce_mod(IntPolynomial.monomial(4), phi8).coefficients == (-1,)
-    x5_plus_x = IntPolynomial.monomial(5) + IntPolynomial.monomial(1)
-    assert reduce_mod(x5_plus_x, phi8).is_zero()
+    _, rem = divmod(IntPolynomial((0, 0, 0, 0, 1)), phi8)           # x^4
+    assert rem.coefficients == (-1,)
+    _, rem = divmod(IntPolynomial((0, 1, 0, 0, 0, 1)), phi8)        # x^5 + x
+    assert rem.is_zero()
 
 
-def test_reduce_mod_requires_monic():
+def test_divmod_requires_monic():
     with pytest.raises(ValueError, match="monic"):
-        reduce_mod(IntPolynomial((1, 1)), IntPolynomial((1, 2)))
+        divmod(IntPolynomial((1, 1)), IntPolynomial((1, 2)))
     with pytest.raises(ValueError, match="monic"):
-        reduce_mod(IntPolynomial((1, 1)), IntPolynomial(()))
+        divmod(IntPolynomial((1, 1)), IntPolynomial(()))
 
 
 def test_theta_element_examples():
@@ -74,18 +75,31 @@ def test_theta_element_matches_cosine_eigenvalues():
             assert abs(value - target) < 1e-9, (n, k)
 
 
+def test_theta_element_matches_unreduced_division():
+    # theta_element folds x^(2n-k) into -x^(n-k) before dividing; the
+    # remainder of the unreduced 2 - x^k - x^(2n-k) must be the same.
+    for n in range(2, 65):
+        phi = cyclotomic_polynomial(2 * n)
+        for k in range(1, n):
+            coeffs = [0] * (2 * n)
+            coeffs[0] = 2
+            coeffs[k] -= 1
+            coeffs[2 * n - k] -= 1
+            _, rem = divmod(IntPolynomial(tuple(coeffs)), phi)
+            padded = rem.coefficients + (0,) * (phi.degree - len(rem.coefficients))
+            assert theta_element(n, k).coefficients == padded, (n, k)
+
+
 def test_exact_combination_tracks_float_evaluation():
     rng = np.random.default_rng(41)
     for n in (5, 8, 9, 12):
-        thetas = [theta_element(n, k) for k in range(1, n)]
+        thetas = [theta_element(n, k).coefficients for k in range(1, n)]
         floats = [2.0 - 2.0 * math.cos(k * math.pi / n) for k in range(1, n)]
         for _ in range(40):
-            coeffs = rng.integers(-3, 4, size=n - 1)
-            total = CycloElement.zero(2 * n)
-            for c, th in zip(coeffs, thetas):
-                total = total + th.scaled(int(c))
-            float_sum = sum(int(c) * f for c, f in zip(coeffs, floats))
-            assert total.is_zero() == (abs(float_sum) < 1e-9), (n, coeffs)
+            coeffs = [int(c) for c in rng.integers(-3, 4, size=n - 1)]
+            exact_zero = _product_is_zero(thetas, [coeffs])
+            float_sum = sum(c * f for c, f in zip(coeffs, floats))
+            assert exact_zero == (abs(float_sum) < 1e-9), (n, coeffs)
 
 
 def test_witness_polynomial_reduces_to_zero():
@@ -93,14 +107,13 @@ def test_witness_polynomial_reduces_to_zero():
     # 18th root as a zero, so reduction modulo Phi_18 kills it exactly.
     l = (1, -1, 0, -1, 1, 0, 1, -1)
     n = 9
-    poly = IntPolynomial(())
+    coeffs = [0] * (2 * n)
     for k in range(1, n):
-        if l[k - 1]:
-            term = (IntPolynomial((2,))
-                    - IntPolynomial.monomial(k)
-                    - IntPolynomial.monomial(2 * n - k)).scaled(l[k - 1])
-            poly = poly + term
-    assert reduce_mod(poly, cyclotomic_polynomial(18)).is_zero()
+        coeffs[0] += 2 * l[k - 1]
+        coeffs[k] -= l[k - 1]
+        coeffs[2 * n - k] -= l[k - 1]
+    _, rem = divmod(IntPolynomial(tuple(coeffs)), cyclotomic_polynomial(18))
+    assert rem.is_zero()
 
 
 def test_int_polynomial_divmod_roundtrip():
@@ -129,9 +142,10 @@ def test_cyclo_element_shape_checked():
     with pytest.raises(ValueError):
         CycloElement(8, (1, 2))  # phi(8) = 4
     with pytest.raises(ValueError):
-        CycloElement(6, (1,) * 2) + CycloElement(8, (1,) * 4)
+        CycloElement(6, (1,) * 4)  # phi(6) = 2
 
 
-def test_from_polynomial_pads_to_full_width():
-    el = from_polynomial(IntPolynomial((5,)), 8)
-    assert el.coefficients == (5, 0, 0, 0)
+def test_theta_element_pads_to_full_width():
+    # k = n/2 gives the constant 2; the element keeps all phi(2n) slots
+    assert theta_element(4, 2).coefficients == (2, 0, 0, 0)
+    assert theta_element(6, 3).coefficients == (2, 0, 0, 0)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpgst.decision import (RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
                             RULE_POWER_OF_TWO, RULE_TWO_POWER_TIMES_PRIME,
@@ -139,9 +141,43 @@ def test_verify_witness_distinct_eigenvalues_break_relation():
     assert checks.sum_zero and not checks.relation_zero
 
 
+_COMPOSITE_ODD_PART = [n for n in range(2, 501)
+                       if path_class(n, 1).kind == RULE_ODD_COMPOSITE]
+
+
+@st.composite
+def _composite_odd_part_instances(draw):
+    n = draw(st.sampled_from(_COMPOSITE_ODD_PART))
+    a = draw(st.integers(1, n - 1).filter(lambda a: 2 * a != n))
+    support = sorted(path_support_partition(n, a).support)
+    i, j = draw(st.lists(st.sampled_from(support), min_size=2, max_size=2,
+                         unique=True))
+    return n, a, i, j
+
+
+@settings(max_examples=40, deadline=None)
+@given(_composite_odd_part_instances())
+def test_witnesses_verify_and_perturbations_break_them(instance):
+    n, a, i, j = instance
+    cert = classify_path(n, a).certificate
+    checks = verify_witness(n, a, cert)
+    assert checks.sum_zero and checks.relation_zero
+    assert checks.parity_odd and checks.off_support_zero
+    # path eigenvalues are distinct, so theta_i - theta_j is never zero
+    moved = list(cert)
+    moved[i - 1] += 1
+    moved[j - 1] -= 1
+    assert not verify_witness(n, a, tuple(moved)).relation_zero
+
+
 def test_verify_witness_length_check():
     with pytest.raises(ValueError, match="length"):
         verify_witness(9, 1, (1, -1))
+
+
+def test_verify_witness_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        verify_witness(9, 1, (0.5, -0.5, 0, 0, 0, 0, 0, 0))
 
 
 def test_alternating_cosine_residual_examples():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpgst import relation_lattice
-from lpgst.pair_states import path_support_partition
+from lpgst.pair_states import SupportPartition, path_support_partition
 from lpgst.relation_lattice import (ParityFunctional, RelationLattice,
                                     build_relation_system, integer_kernel,
                                     parity_holds)
@@ -169,8 +169,10 @@ def test_restricted_and_generalized_systems_agree():
                 continue
             part = path_support_partition(n, a)
             cols_r, sig_r, idx_r = build_relation_system(n, part)
-            cols_g, sig_g, idx_g = build_relation_system(
-                n, part, restrict_to_support=False)
+            # every k in 1..n-1 enters; excluded k count as plus (sigma 0)
+            wide = SupportPartition(part.plus | (part.excluded - {0}),
+                                    part.minus, frozenset({0}))
+            cols_g, sig_g, idx_g = build_relation_system(n, wide)
             assert idx_g == tuple(range(1, n))
             holds_r, _ = parity_holds(integer_kernel(cols_r, idx_r), sig_r)
             holds_g, _ = parity_holds(integer_kernel(cols_g, idx_g), sig_g)
