@@ -13,6 +13,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from .decision import SamePairError, classify_path, cross_check
 from .graphs import GraphParseError, laplacian, parse_graph
 from .pair_states import fidelity_sweep
@@ -21,12 +23,25 @@ from .spectra import eigendecompose, path_spectrum
 SCHEMA_VERSION = "1"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+# 12 significant digits: every float on stdout goes through one of these
+_fmt = "{:.12g}".format
+_csv_row = "{:.12g},{:.12g}".format
 
 
 def _round12(x: float) -> float:
     return float(_fmt(x))
+
+
+def _json_floats(values: np.ndarray) -> str:
+    """The items of json.dumps([_round12(x) for x in values]), in one pass.
+
+    A %.12g token with a "." and no exponent is already those bytes: it has
+    at most 12 significant digits, so repr of its float repeats them. The
+    rest are bare integers, which lack ".0", and exponent forms, which repr
+    writes positionally for exponents 12..15; repr of the float fixes both.
+    """
+    return ", ".join([tok if "." in tok and "e" not in tok else repr(float(tok))
+                      for tok in map(_fmt, memoryview(values))])
 
 
 def _parse_span(text: str) -> range:
@@ -72,11 +87,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     rows = []
+    skipped = []
     for n in args.n:
         if args.a == "all":
             a_values = range(1, n)
         else:
-            a_values = [a for a in args.a if 1 <= a <= n - 1]
+            lo, stop = args.a.start, args.a.stop
+            a_values = range(max(lo, 1), min(stop, n))
+            outside = [r for r in (range(lo, min(stop, 1)),
+                                   range(max(lo, n), stop)) if r]
+            if outside:
+                skipped.append(f"n={n} a={','.join(map(_span_text, outside))}")
         for a in a_values:
             if 2 * a == n:
                 rows.append({"n": n, "a": a, "verdict": "same-pair", "rule": ""})
@@ -91,6 +112,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"error: --a {_span_text(args.a)} selects no a in 1..n-1 "
               f"for --n {_span_text(args.n)}", file=sys.stderr)
         return 2
+    if skipped:
+        print(f"note: --a values outside 1..n-1 skipped: {'; '.join(skipped)}",
+              file=sys.stderr)
     rows.sort(key=lambda r: (r["n"], r["a"]))
     if args.format == "csv":
         lines = [f"# schema_version={SCHEMA_VERSION}", "n,a,verdict,rule"]
@@ -166,8 +190,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"# argmax_time={_fmt(trace.argmax_time)}",
             "time,fidelity",
         ]
-        lines.extend(f"{_fmt(t)},{_fmt(f)}"
-                     for t, f in zip(trace.times, trace.fidelities))
+        lines.extend(map(_csv_row, memoryview(trace.times),
+                         memoryview(trace.fidelities)))
         _emit("\n".join(lines))
     else:
         record = {
@@ -182,10 +206,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             },
             "sup_estimate": _round12(trace.sup_estimate),
             "argmax_time": _round12(trace.argmax_time),
-            "times": [_round12(t) for t in trace.times],
-            "fidelities": [_round12(f) for f in trace.fidelities],
         }
-        _emit(json.dumps(record))
+        # the trace arrays close the record: their items are spliced in
+        # as text rather than handed to json.dumps as Python floats
+        _emit(f'{json.dumps(record)[:-1]}, '
+              f'"times": [{_json_floats(trace.times)}], '
+              f'"fidelities": [{_json_floats(trace.fidelities)}]}}')
     return 0
 
 

@@ -19,6 +19,11 @@ from .pair_states import path_support_partition
 from .relation_lattice import (_product_is_zero, build_relation_system,
                                integer_kernel, parity_holds)
 
+# Largest n the lattice route accepts, checked before any work: its cost
+# grows about as n**3, and the full-support paths near the limit (n = 997,
+# n = 1024) take 6-7 s each on a 2-core x86-64 VM.
+MAX_LATTICE_N = 1024
+
 RULE_POWER_OF_TWO = "power-of-two"
 RULE_ODD_PRIME = "odd-prime"
 RULE_TWO_POWER_TIMES_PRIME = "two-power-times-prime"
@@ -167,9 +172,13 @@ def decide_path_lpgst(n: int, a: int) -> Verdict:
     Mirror pairs are always strongly cospectral, so the decision reduces
     to the parity of the minus functional on the integer kernel of the
     support relation system. A failing parity check yields a certificate
-    vector expanded back to indices k = 1..n-1.
+    vector expanded back to indices k = 1..n-1. Refuses n above
+    MAX_LATTICE_N.
     """
     _validate_instance(n, a)
+    if n > MAX_LATTICE_N:
+        raise ValueError(
+            f"n must be at most {MAX_LATTICE_N} for the lattice route, got {n}")
     frm, to = _mirror_pairs(n, a)
     part = path_support_partition(n, a)
     columns, sigma, index_map = build_relation_system(n, part)
@@ -290,6 +299,10 @@ class CrossCheck:
 
 
 def cross_check(n: int, a: int) -> CrossCheck:
-    """Run both decision routes; disagreement signals a defect somewhere."""
-    return CrossCheck(closed_form=classify_path(n, a),
-                      lattice=decide_path_lpgst(n, a))
+    """Run both decision routes; disagreement signals a defect somewhere.
+
+    The lattice route runs first, so its size limit refuses n before the
+    closed form does any work.
+    """
+    lattice = decide_path_lpgst(n, a)
+    return CrossCheck(closed_form=classify_path(n, a), lattice=lattice)

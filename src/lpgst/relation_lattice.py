@@ -15,6 +15,7 @@ on Python ints in an object array otherwise. Results are exact either way.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ def integer_kernel(columns: list[tuple[int, ...]],
     every entry stays below 2**31 and is redone on Python ints (an object
     array) as soon as one does not; the basis is the same either way. The
     product of the input matrix with the basis is re-verified exactly
-    before returning.
+    before returning. Raises ValueError unless every entry is an integer.
     """
     d = len(columns)
     if index_map is None:
@@ -73,7 +74,13 @@ def integer_kernel(columns: list[tuple[int, ...]],
     if any(len(c) != rows for c in columns):
         raise ValueError("columns must all have the same length")
 
-    mat = _exact_array(columns)                 # mat[j, i]: column j, row i
+    mat = np.array(columns)                     # mat[j, i]: column j, row i
+    if mat.dtype.kind != "i":
+        # floats, or integers beyond int64 (numpy infers uint64, float64 or
+        # object for those): an integer cast would truncate 0.5 to 0
+        if not all(isinstance(v, numbers.Integral) for col in columns for v in col):
+            raise ValueError("column entries must be integers")
+        mat = _exact_array(columns)
     basis = None
     if mat.dtype != object and _max_abs(mat) < _ELIMINATION_BOUND:
         basis = _kernel_basis(mat, np.int64)

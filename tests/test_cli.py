@@ -1,12 +1,18 @@
+import hashlib
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lpgst.cli import main
+from lpgst.cli import _csv_row, _json_floats, _round12, main
+from lpgst.decision import MAX_LATTICE_N
 from lpgst.pair_states import MAX_SWEEP_STEPS
 
 
@@ -75,12 +81,19 @@ def test_classify_bad_or_empty_selection_exits_2(capsys, argv):
 
 def test_classify_partial_a_range_keeps_rows(capsys):
     # a = 4..6 exceeds n - 1 only for the smaller paths: those rows drop
-    code, out, _ = _run(capsys, ["classify", "--n", "5..7", "--a", "4..6"])
+    code, out, err = _run(capsys, ["classify", "--n", "5..7", "--a", "4..6"])
     assert code == 0
     assert out.strip().splitlines()[2:] == [
         "5,4,yes,odd-prime", "6,4,yes,two-power-times-prime",
         "6,5,yes,two-power-times-prime", "7,4,yes,odd-prime",
         "7,5,yes,odd-prime", "7,6,yes,odd-prime"]
+    # ... and are named on stderr, once
+    assert [line for line in err.splitlines() if line.startswith("note:")] == [
+        "note: --a values outside 1..n-1 skipped: n=5 a=5..6; n=6 a=6"]
+    _, _, err = _run(capsys, ["classify", "--n", "3..4", "--a", "0..4"])
+    assert "note: --a values outside 1..n-1 skipped: n=3 a=0,3..4; n=4 a=0,4" in err
+    _, _, err = _run(capsys, ["classify", "--n", "5..7", "--a", "all"])
+    assert "note:" not in err
 
 
 def test_decide_with_certificate(capsys):
@@ -111,6 +124,14 @@ def test_decide_same_pair_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "coincide" in err
+
+
+@pytest.mark.parametrize("n", [MAX_LATTICE_N + 1, 10 ** 9])
+def test_decide_n_above_limit_exits_2(capsys, n):
+    code, out, err = _run(capsys, ["decide", "--n", str(n), "--a", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: n must be at most {MAX_LATTICE_N}")
 
 
 def test_sweep_path_json(capsys):
@@ -148,6 +169,64 @@ def test_sweep_csv_format(capsys):
     assert lines[2].startswith("# argmax_time=")
     assert lines[3] == "time,fidelity"
     assert len(lines) >= 4 + 50
+
+
+# sha256 of sweep stdout, taken before the trace writer was vectorized:
+# an ordinary window, times in 1e12..1e16 (where %g and repr disagree) and
+# fidelities in exponent form. The fidelities carry the last bits of the
+# platform's libm and BLAS, so another platform may need fresh digests.
+_GOLDEN_GRAPH = "# five-vertex path with the chord 2-4\nn 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 2 4\n"
+_GOLDEN_SOURCES = {"path": ["--path", "15", "--from", "1,2", "--to", "14,15"],
+                   "graph": ["--graph", "g.txt", "--from", "1,2", "--to", "4,5"]}
+_GOLDEN_SWEEPS = {
+    ("path", "317.123", "5000", "json"): "85b7e2b17899c8e0f81c3b2d554a90d274b594be2c0db2c976ecd83aba7db447",
+    ("path", "317.123", "5000", "csv"): "ac001c493cb08c835267959d36912bc3b6507c39cb01826d301dab731b52a796",
+    ("path", "5e12", "1000", "json"): "a1d8509dc2e84f5678f1fdad93f91cc1ab28b0c97b00d055e96602cef0ffe1ed",
+    ("path", "5e12", "1000", "csv"): "fbe723eaf7f5ae93910f111451f20094ee5c28eb9ebad737f8c24cabf5e3341c",
+    ("path", "1e-5", "1000", "json"): "ef297f879af6a014b49ba29dadd0b7ae2a185a7fd16768cc8c3ab1fcee0e0677",
+    ("path", "1e-5", "1000", "csv"): "4d443d5e39e202728fd2eee6284aba69a44ddaaebee3d24fdcde7eace056efd2",
+    ("graph", "317.123", "5000", "json"): "3960c72c1958d6c841f72e767f96c889a69e0f23f30a0686aa8f7c43aa207c73",
+    ("graph", "317.123", "5000", "csv"): "3f032478fb9e99cece9d7a31cff481361eee7b9b6098aaa0c642d34c65be5be9",
+    ("graph", "5e12", "1000", "json"): "a7fd21c3611dbb55e21fd9460609fc93719cf0573e9763af5bfa0515f8a591e9",
+    ("graph", "5e12", "1000", "csv"): "139d56bff5e7f7bfa879c724795ce8f85aa52c4d9b47cb7fdc8f7aa8e0fe544c",
+    ("graph", "1e-5", "1000", "json"): "9a02981b4deb8ebb6c3ae9ced5b588f4c572351c0cda3660565dc590e8f99cb7",
+    ("graph", "1e-5", "1000", "csv"): "5f51d32335b75269179828b2b51df3d74d43bcac51b23aff4645c397cf8dda95",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_SWEEPS), ids="-".join)
+def test_sweep_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys, case):
+    source, tmax, steps, fmt = case
+    monkeypatch.chdir(tmp_path)  # the JSON record names the graph file
+    (tmp_path / "g.txt").write_text(_GOLDEN_GRAPH)
+    code, out, _ = _run(capsys, ["sweep", *_GOLDEN_SOURCES[source],
+                                 "--tmax", tmax, "--steps", steps,
+                                 "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_SWEEPS[case]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_finite_doubles = st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
+
+
+# edges: signed zero, the 1e12..1e16 band where %g writes an exponent and
+# repr does not, values that round up into the next decade, the smallest
+# subnormal and the 1e-4/1e-5 switch to exponent form
+@example([0.0, -0.0, 1.0, 1e12, 999999999999.5, 999999999999.4, 123456789012.0,
+          9.99999999999995e15, 1e15, 1e16, 5e-324, 1e-4, 1e-5,
+          9.99999999999995e-5, 0.1 + 0.2, 2.0 ** 53 + 2])
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_finite_doubles | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+def test_trace_formatters_match_per_float_formatting(xs):
+    values = np.array(xs)
+    assert f"[{_json_floats(values)}]" == json.dumps([_round12(x) for x in xs])
+    rows = list(map(_csv_row, memoryview(values), memoryview(values[::-1])))
+    assert rows == [f"{t:.12g},{f:.12g}" for t, f in zip(values, values[::-1])]
 
 
 def test_sweep_missing_file_exits_2(capsys):

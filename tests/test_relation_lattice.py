@@ -184,6 +184,19 @@ def test_columns_must_share_length():
         integer_kernel([(1, 2), (1,)])
 
 
+def test_integer_kernel_rejects_non_integer_entries():
+    # an int64 cast read (0.5,) as (0,) and returned ((1, 0),), which
+    # combines the columns to (0.5,), not to zero
+    with pytest.raises(ValueError, match="must be integers"):
+        integer_kernel([(0.5,), (1,)])
+    with pytest.raises(ValueError, match="must be integers"):
+        integer_kernel([(2 ** 70,), (1.5,)])     # the Python-int route
+    with pytest.raises(ValueError, match="must be integers"):
+        integer_kernel([(1.0,), (1,)])
+    # integers beyond int64, mixed with negatives numpy would infer float64
+    assert integer_kernel([(2 ** 63,), (-1,)]).basis == ((1, 2 ** 63),)
+
+
 def test_int64_wraparound_cannot_pass_verification():
     columns = [(2 ** 32,), (0,)]
     basis = ((2 ** 32, 1),)           # wrong: combines the columns to 2**64
