@@ -22,6 +22,13 @@ from .spectra import eigendecompose, path_spectrum
 
 SCHEMA_VERSION = "1"
 
+# Largest classify selection, in rows * n summed over n (an n without rows
+# counts as one row), checked before any row is computed: each row's
+# witness vector and support partition are O(n) loops. On a 2-core x86-64
+# VM, --n 4000 (16.0M, every row a no-instance with a witness) takes 4.8 s,
+# --n 2..360 (15.6M) 3.2 s and --n 3000 (9.0M) 2.6 s.
+MAX_CLASSIFY_WORK = 16_000_000
+
 
 # 12 significant digits: every float on stdout goes through one of these
 _fmt = "{:.12g}".format
@@ -81,19 +88,42 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _a_values(n: int, a) -> range:
+    """The --a values that lie in 1..n-1."""
+    return range(1, n) if a == "all" else range(max(a.start, 1), min(a.stop, n))
+
+
+def _classify_work(ns: range, a) -> int:
+    """Sum over n of n * max(rows at n, 1), stopping once it passes
+    MAX_CLASSIFY_WORK.
+
+    Every n counts at least n >= 2, so the loop ends within about
+    sqrt(2 * MAX_CLASSIFY_WORK) values of n, however long the range.
+    """
+    work = 0
+    for n in ns:
+        work += n * max(len(_a_values(n, a)), 1)
+        if work > MAX_CLASSIFY_WORK:
+            break
+    return work
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.n.start < 2:
         print(f"error: path needs at least 2 vertices, got n={args.n.start}",
               file=sys.stderr)
         return 2
+    if _classify_work(args.n, args.a) > MAX_CLASSIFY_WORK:
+        print(f"error: --n {_span_text(args.n)} --a {_span_text(args.a)} needs "
+              f"more than {MAX_CLASSIFY_WORK} units of work (rows times n, "
+              f"summed over n); split the range", file=sys.stderr)
+        return 2
     rows = []
     skipped = []
     for n in args.n:
-        if args.a == "all":
-            a_values = range(1, n)
-        else:
+        a_values = _a_values(n, args.a)
+        if args.a != "all":
             lo, stop = args.a.start, args.a.stop
-            a_values = range(max(lo, 1), min(stop, n))
             outside = [r for r in (range(lo, min(stop, 1)),
                                    range(max(lo, n), stop)) if r]
             if outside:

@@ -2,14 +2,20 @@
 
 The path eigenvalues 2 - 2 cos(k pi / n) equal 2 - z^k - z^(2n-k) for z a
 primitive 2n-th root of unity, so each one has an exact image as an
-integer coefficient vector modulo the 2n-th cyclotomic polynomial. All
-coefficients are Python ints, so nothing here ever rounds.
+integer coefficient vector modulo the 2n-th cyclotomic polynomial.
+
+Phi_m and the table of every eigenvalue's coefficients for one n are built
+as integer arrays: numpy int64 while a bound checked before each step rules
+out overflow (see _cyclotomic_array and _theta_rows), and the same code on
+Python ints in an object array otherwise. Nothing here ever rounds.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -85,35 +91,92 @@ def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError(f"totient needs a positive argument, got {m}")
     result = m
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            result -= result // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        result -= result // rest
+    for p in _prime_factors(m):
+        result -= result // p
     return result
 
 
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, by exact division of x^m - 1.
+def _prime_factors(m: int) -> list[int]:
+    """Distinct primes of m, increasing, by trial division."""
+    primes, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return primes + [m] if m > 1 else primes
 
-    x^m - 1 = prod over d | m of Phi_d, so dividing out the proper
-    divisors' polynomials leaves Phi_m with exact integer coefficients.
-    """
+
+def cyclotomic_polynomial(m: int) -> IntPolynomial:
+    """The m-th cyclotomic polynomial, by the Moebius product (see
+    _cyclotomic_array)."""
     if m < 1:
         raise ValueError(f"cyclotomic index must be positive, got {m}")
-    poly = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
-    for d in range(1, m):
-        if m % d == 0:
-            quo, rem = divmod(poly, cyclotomic_polynomial(d))
-            assert rem.is_zero(), f"x^{m}-1 not divisible by Phi_{d}"
-            poly = quo
+    return IntPolynomial(tuple(_exact(_cyclotomic_array, m).tolist()))
+
+
+def _exact(build, *args) -> np.ndarray:
+    """build(*args, np.int64), or build(*args, object) when that returns None."""
+    out = build(*args, np.int64)
+    return out if out is not None else build(*args, object)
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    """Largest entry magnitude as a Python int (no int64 abs overflow)."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _cyclotomic_array(m: int, dtype) -> np.ndarray | None:
+    """Coefficients of Phi_m (index = power) in the given dtype.
+
+    Phi_m = prod over d | m of (x^d - 1)^mu(m/d). Only squarefree m/d
+    count: d = m / (product of a set S of m's primes), mu = (-1)^|S|. The
+    factors with mu = +1 are multiplied in first (a shift and a subtract
+    each), then the ones with mu = -1 are divided out exactly. Returns None
+    when an int64 step could overflow.
+    """
+    primes = _prime_factors(m)
+    steps = []
+    for mask in range(2 ** len(primes)):
+        chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+        steps.append((len(chosen) % 2, m // math.prod(chosen)))
+    poly = np.ones(1, dtype=dtype)
+    for divide, d in sorted(steps):
+        # every entry a step writes (running sums included) is a signed sum
+        # of at most len(poly) entries of poly
+        if dtype is not object and len(poly) * _max_abs(poly) >= 2 ** 63:
+            return None
+        poly = _over_binomial(poly, d) if divide else _times_binomial(poly, d)
     return poly
+
+
+def _times_binomial(poly: np.ndarray, d: int) -> np.ndarray:
+    """poly * (x^d - 1)."""
+    out = np.zeros(len(poly) + d, dtype=poly.dtype)
+    out[d:] = poly
+    out[:len(poly)] -= poly
+    return out
+
+
+def _over_binomial(poly: np.ndarray, d: int) -> np.ndarray:
+    """poly / (x^d - 1), which must be exact.
+
+    The quotient q satisfies poly[i] = q[i - d] - q[i], so q is minus the
+    running sum of poly over each residue class mod d. The division is exact
+    when every class sums to zero, i.e. when those running sums vanish past
+    q's degree.
+    """
+    size = len(poly)
+    if size <= d:
+        raise ArithmeticError(f"polynomial not divisible by x^{d} - 1")
+    rows = -(-size // d)
+    padded = np.zeros(rows * d, dtype=poly.dtype)
+    padded[:size] = poly
+    quotient = -np.cumsum(padded.reshape(rows, d), axis=0).ravel()
+    if quotient[size - d:size].any():
+        raise ArithmeticError(f"polynomial not divisible by x^{d} - 1")
+    return quotient[:size - d]
 
 
 @dataclass(frozen=True)
@@ -141,23 +204,63 @@ class CycloElement:
         return IntPolynomial(self.coefficients).evaluate(z)
 
 
-@functools.lru_cache(maxsize=None)
-def theta_element(n: int, k: int) -> CycloElement:
-    """Exact image of the path eigenvalue 2 - 2 cos(k pi / n).
+@functools.lru_cache(maxsize=4)
+def theta_table(n: int) -> np.ndarray:
+    """Exact coefficients of every path eigenvalue for one n, as one array.
 
-    The eigenvalue is 2 - x^k - x^(2n-k) at the primitive 2n-th root.
-    Phi_2n divides x^n + 1, so x^(2n-k) = -x^(n-k) modulo Phi_2n and one
-    division of 2 - x^k + x^(n-k) (degree below n) by Phi_2n leaves the
-    reduced coefficients. Cached: the same (n, k) recurs across every
-    pair offset a.
+    Row k - 1 (k = 1..n-1) holds the phi(2n) coefficients of
+    2 - 2 cos(k pi / n) modulo Phi_2n. The array is read-only, int64 unless
+    a coefficient could leave that range (then Python ints), and
+    n * phi(2n) * 8 bytes in int64 (8.4 MB at n = 1024), so only the last
+    few n are kept.
     """
+    if n < 2:
+        raise ValueError(f"path needs at least 2 vertices, got {n}")
+    phi = _exact(_cyclotomic_array, 2 * n)
+    table = _exact(_theta_rows, n, phi)
+    table.flags.writeable = False
+    return table
+
+
+def _theta_rows(n: int, phi: np.ndarray, dtype) -> np.ndarray | None:
+    """Rows 2 - x^k + x^(n-k) mod phi for k = 1..n-1, in the given dtype.
+
+    The eigenvalue is 2 - x^k - x^(2n-k) at the primitive 2n-th root, and
+    Phi_2n divides x^n + 1, so x^(2n-k) = -x^(n-k). The reduced powers
+    R[j] = x^j mod phi come from R[j] = x * R[j-1] with one vector step per
+    j: shift up, then subtract lead * phi, where lead is the coefficient
+    shifted past the degree. Returns None when an int64 entry could reach
+    2**61.
+    """
+    deg = len(phi) - 1
+    scale = _max_abs(phi)
+    if dtype is not object and scale >= 2 ** 61:
+        return None
+    low = phi[:-1].astype(dtype)
+    powers = np.zeros((n, deg), dtype=dtype)
+    diagonal = np.arange(min(n, deg))
+    powers[diagonal, diagonal] = 1
+    # every entry of powers[:j] is at most bound; a step adds |lead| * scale
+    bound = 1
+    for j in range(deg, n):
+        prev = powers[j - 1]
+        lead = prev[-1]
+        if dtype is not object:
+            bound += abs(int(lead)) * scale
+            if bound >= 2 ** 61:
+                return None
+        powers[j, 1:] = prev[:-1]
+        if lead:
+            powers[j] -= lead * low
+    # theta rows are below 2 + 2 * bound < 2**63
+    rows = powers[n - 1:0:-1] - powers[1:]
+    rows[:, 0] += 2
+    return rows
+
+
+def theta_element(n: int, k: int) -> CycloElement:
+    """Exact image of the path eigenvalue 2 - 2 cos(k pi / n): row k - 1 of
+    theta_table(n)."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
-    coeffs = [0] * n
-    coeffs[0] = 2
-    coeffs[k] -= 1
-    coeffs[n - k] += 1
-    phi = cyclotomic_polynomial(2 * n)
-    _, rem = divmod(IntPolynomial(tuple(coeffs)), phi)
-    return CycloElement(2 * n, rem.coefficients
-                        + (0,) * (phi.degree - len(rem.coefficients)))
+    return CycloElement(2 * n, tuple(theta_table(n)[k - 1].tolist()))

@@ -14,7 +14,9 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cyclotomic import theta_element
+import numpy as np
+
+from .cyclotomic import _prime_factors, theta_table
 from .pair_states import path_support_partition
 from .relation_lattice import (_product_is_zero, build_relation_system,
                                integer_kernel, parity_holds)
@@ -104,23 +106,6 @@ def _is_prime(n: int) -> bool:
             return False
         p += 1
     return True
-
-
-def _odd_prime_factors(n: int) -> list[int]:
-    factors = []
-    p = 3
-    rest = n
-    while rest % 2 == 0:
-        rest //= 2
-    while p * p <= rest:
-        if rest % p == 0:
-            factors.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 2
-    if rest > 1:
-        factors.append(rest)
-    return factors
 
 
 def path_class(n: int, a: int) -> PathClass:
@@ -217,7 +202,7 @@ def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
             return None
         return _residue_witness(n, block=2 ** t)
     reduced = n // math.gcd(a, n)
-    candidates = [p for p in _odd_prime_factors(r) if reduced % p == 0]
+    candidates = [p for p in _prime_factors(r) if reduced % p == 0]
     if not candidates:
         # r divides a; the pair-distinctness precondition forces t >= 2.
         return _residue_witness(n, block=2 ** t)
@@ -251,15 +236,16 @@ def verify_witness(n: int, a: int, relation: tuple[int, ...]) -> WitnessCheck:
     if len(relation) != n - 1:
         raise ValueError(
             f"witness must have length {n - 1} for n={n}, got {len(relation)}")
-    # the integer product would truncate a fractional entry to an integer
-    if not all(isinstance(v, numbers.Integral) for v in relation):
+    # the integer product would truncate a fractional entry to an integer;
+    # an integer dtype needs no scan
+    vec = np.asarray(relation)
+    if vec.dtype.kind != "i" and not all(isinstance(v, numbers.Integral)
+                                         for v in relation):
         raise ValueError("witness entries must be integers")
     part = path_support_partition(n, a)
     sum_zero = sum(relation) == 0
-    used = [k for k in range(1, n) if relation[k - 1]]
-    relation_zero = _product_is_zero(
-        [theta_element(n, k).coefficients for k in used],
-        [[relation[k - 1] for k in used]])
+    used = np.flatnonzero(vec)                  # positions k - 1
+    relation_zero = _product_is_zero(theta_table(n)[used], [vec[used].tolist()])
     sigma_sum = sum(relation[k - 1] for k in part.minus)
     off_support_zero = all(
         relation[k - 1] == 0 for k in part.excluded if 1 <= k <= n - 1)

@@ -166,6 +166,10 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
             f"steps must lie in 2..{MAX_SWEEP_STEPS}, got {steps}")
     c = transfer_weights(s, frm, to)
     thetas = s.eigenvalues
+    # the phases t * theta must stay finite, or every fidelity reads NaN
+    if not math.isfinite(t_max * float(np.abs(thetas).max())):
+        raise ValueError(
+            f"t_max times the largest eigenvalue must be finite, got t_max={t_max}")
     times = np.linspace(0.0, float(t_max), steps)
     fids = np.clip(_kernels.fidelity_grid(thetas, c, times), 0.0, 1.0)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import theta_element
+from .cyclotomic import _max_abs, theta_table
 from .pair_states import SupportPartition
 
 
@@ -157,32 +157,35 @@ def _product_is_zero(columns, basis) -> bool:
 
 
 def _exact_array(rows) -> np.ndarray:
-    """2-D integer array: int64 when every entry fits, Python ints otherwise."""
+    """2-D integer array: int64 when every entry fits, Python ints otherwise.
+
+    An int64 array is used as it is, without a copy.
+    """
     try:
-        return np.array(rows, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64)
     except OverflowError:
         return np.array(rows, dtype=object)
-
-
-def _max_abs(arr: np.ndarray) -> int:
-    """Largest entry magnitude as a Python int (no int64 abs overflow)."""
-    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
 def build_relation_system(
     n: int,
     part: SupportPartition,
-) -> tuple[list[tuple[int, ...]], ParityFunctional, tuple[int, ...]]:
+) -> tuple[np.ndarray, ParityFunctional, tuple[int, ...]]:
     """Columns, parity marks, and index map for the path relation system.
 
-    One column per support eigenvalue index k: the cyclotomic
-    coefficients of the eigenvalue with a trailing 1 for the zero-sum
-    constraint.
+    One column (a row of the returned array) per support eigenvalue index
+    k: the cyclotomic coefficients of the eigenvalue, row k - 1 of
+    theta_table(n), with a trailing 1 for the zero-sum constraint.
     """
     indices = sorted(part.support)
     if not indices:
         raise ValueError("empty support: the relation system is degenerate")
-    columns = [theta_element(n, k).coefficients + (1,) for k in indices]
+    if not 1 <= indices[0] <= indices[-1] <= n - 1:
+        raise ValueError(f"support indices must lie in 1..{n - 1}, "
+                         f"got {indices[0]}..{indices[-1]}")
+    table = theta_table(n)
+    columns = np.ones((len(indices), table.shape[1] + 1), dtype=table.dtype)
+    columns[:, :-1] = table[np.array(indices) - 1]
     sigma = ParityFunctional(tuple(1 if k in part.minus else 0 for k in indices))
     return columns, sigma, tuple(indices)
 

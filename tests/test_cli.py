@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpgst.cli import _csv_row, _json_floats, _round12, main
+from lpgst import cli
+from lpgst.cli import (MAX_CLASSIFY_WORK, _classify_work, _csv_row,
+                       _json_floats, _round12, main)
 from lpgst.decision import MAX_LATTICE_N
 from lpgst.pair_states import MAX_SWEEP_STEPS
 
@@ -94,6 +96,35 @@ def test_classify_partial_a_range_keeps_rows(capsys):
     assert "note: --a values outside 1..n-1 skipped: n=3 a=0,3..4; n=4 a=0,4" in err
     _, _, err = _run(capsys, ["classify", "--n", "5..7", "--a", "all"])
     assert "note:" not in err
+
+
+def test_classify_work_counts_rows_times_n():
+    assert _classify_work(range(2, 101), "all") == sum(
+        n * (n - 1) for n in range(2, 101))
+    # a = 6 is a row only at n = 7; the n without rows count as one row
+    assert _classify_work(range(5, 8), range(6, 7)) == 5 + 6 + 7
+
+
+def test_classify_work_limit_both_sides(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CLASSIFY_WORK",
+                        _classify_work(range(2, 21), "all"))
+    code, out, _ = _run(capsys, ["classify", "--n", "2..20"])
+    assert code == 0
+    assert len(out.splitlines()) == 2 + sum(n - 1 for n in range(2, 21))
+    code, out, err = _run(capsys, ["classify", "--n", "2..21"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n 2..21 --a all needs more than")
+
+
+@pytest.mark.parametrize("argv", [["--n", f"2..{10 ** 12}"],
+                                  ["--n", f"2..{10 ** 12}", "--a", str(10 ** 13)],
+                                  ["--n", str(10 ** 6), "--a", "1..20"]])
+def test_classify_above_work_limit_exits_2(capsys, argv):
+    code, out, err = _run(capsys, ["classify", *argv])
+    assert code == 2
+    assert out == ""
+    assert f"needs more than {MAX_CLASSIFY_WORK} units of work" in err
 
 
 def test_decide_with_certificate(capsys):
@@ -254,6 +285,17 @@ def test_sweep_non_finite_tmax_exits_2(capsys, tmax):
     assert code == 2
     assert out == ""
     assert "error: t_max" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_tmax_overflow_exits_2(capsys, fmt):
+    # finite, but t_max * theta_max overflows to inf and every phase to NaN
+    code, out, err = _run(capsys, ["sweep", "--path", "5", "--from", "1,2",
+                                   "--to", "4,5", "--tmax", "1e308",
+                                   "--steps", "3", "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: t_max times the largest eigenvalue must be finite")
 
 
 @pytest.mark.parametrize("steps", [MAX_SWEEP_STEPS + 1, 10 ** 13])

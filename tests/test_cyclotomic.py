@@ -1,12 +1,31 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from lpgst.cyclotomic import (CycloElement, IntPolynomial,
-                              cyclotomic_polynomial, euler_phi, theta_element)
+from lpgst.cyclotomic import (CycloElement, IntPolynomial, _cyclotomic_array,
+                              _exact, _over_binomial, _theta_rows,
+                              cyclotomic_polynomial, euler_phi, theta_element,
+                              theta_table)
 from lpgst.relation_lattice import _product_is_zero
+
+# n with dense and sparse phi(2n), up to decision.MAX_LATTICE_N
+_LARGE_N = (255, 315, 495, 600, 945, 990, 997, 1024)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_cyclotomic(m: int) -> IntPolynomial:
+    """Frozen copy of the former cyclotomic_polynomial: x^m - 1 divided by
+    Phi_d for every proper divisor d, by IntPolynomial long division."""
+    poly = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
+    for d in range(1, m):
+        if m % d == 0:
+            quo, rem = divmod(poly, _reference_cyclotomic(d))
+            assert rem.is_zero(), f"x^{m}-1 not divisible by Phi_{d}"
+            poly = quo
+    return poly
 
 
 def test_known_cyclotomic_polynomials():
@@ -31,6 +50,61 @@ def test_cyclotomic_product_identity():
                 prod = prod * cyclotomic_polynomial(d)
         expected = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
         assert prod == expected, m
+
+
+def test_cyclotomic_matches_frozen_reference():
+    for m in list(range(1, 301)) + [2 * n for n in _LARGE_N]:
+        assert cyclotomic_polynomial(m) == _reference_cyclotomic(m), m
+
+
+@pytest.mark.slow
+def test_cyclotomic_matches_frozen_reference_every_even_m():
+    for n in range(1, 1025):
+        assert cyclotomic_polynomial(2 * n) == _reference_cyclotomic(2 * n), n
+
+
+def test_object_dtype_builders_match_int64():
+    # the Python-int fallback runs the same code; only the dtype differs
+    for m in list(range(1, 121)) + [2 * n for n in _LARGE_N]:
+        wide = _cyclotomic_array(m, np.int64)
+        exact = _cyclotomic_array(m, object)
+        assert wide.dtype == np.int64 and exact.dtype == object
+        assert exact.tolist() == wide.tolist(), m
+    for n in list(range(2, 40)) + [315, 990]:
+        phi = _cyclotomic_array(2 * n, np.int64)
+        exact = _theta_rows(n, phi.astype(object), object)
+        assert exact.dtype == object
+        assert exact.tolist() == theta_table(n).tolist(), n
+
+
+def test_theta_rows_fall_back_to_python_ints():
+    # x^j mod (x + c) is (-c)^j: for c = 2**40 the int64 run must give up
+    # before (-c)^3 wraps, and the Python-int run is exact
+    c = 2 ** 40
+    phi = np.array([c, 1])
+    assert _theta_rows(4, phi, np.int64) is None
+    rows = _exact(_theta_rows, 4, phi)
+    power = [(-c) ** j for j in range(4)]
+    assert rows.tolist() == [[2 - power[k] + power[4 - k]] for k in (1, 2, 3)]
+
+
+def test_over_binomial_rejects_inexact_division():
+    # (x^2 - 1)(x + 2) = x^3 + 2x^2 - x - 2 divides; x^3 + 1 does not
+    assert _over_binomial(np.array([-2, -1, 2, 1]), 2).tolist() == [2, 1]
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _over_binomial(np.array([1, 0, 0, 1]), 2)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _over_binomial(np.array([1, 1]), 2)
+
+
+def test_theta_table_is_read_only_and_cached_for_few_n():
+    table = theta_table(9)
+    assert table.shape == (8, euler_phi(18))
+    with pytest.raises(ValueError):
+        table[0, 0] = 7
+    assert theta_table.cache_info().maxsize <= 8
+    with pytest.raises(ValueError):
+        theta_table(1)
 
 
 def test_cyclotomic_vanishes_at_primitive_root():
@@ -76,11 +150,15 @@ def test_theta_element_matches_cosine_eigenvalues():
 
 
 def test_theta_element_matches_unreduced_division():
-    # theta_element folds x^(2n-k) into -x^(n-k) before dividing; the
-    # remainder of the unreduced 2 - x^k - x^(2n-k) must be the same.
-    for n in range(2, 65):
+    # theta_element folds x^(2n-k) into -x^(n-k) and reduces powers one
+    # step at a time; the remainder of the unreduced 2 - x^k - x^(2n-k)
+    # must be the same. Every k for n <= 64, sampled k beyond.
+    cases = [(n, range(1, n)) for n in range(2, 65)]
+    cases += [(n, (1, 2, n // 3, n // 2, n - 2, n - 1))
+              for n in (255, 315, 600, 990, 997, 1024)]
+    for n, ks in cases:
         phi = cyclotomic_polynomial(2 * n)
-        for k in range(1, n):
+        for k in ks:
             coeffs = [0] * (2 * n)
             coeffs[0] = 2
             coeffs[k] -= 1

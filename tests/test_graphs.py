@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from _strategies import graphs
+from hypothesis import given, settings
 
 from lpgst.graphs import (Graph, GraphParseError, laplacian, make_path,
                           parse_graph, serialize_graph)
@@ -118,11 +120,7 @@ def test_parse_graph_bad_tokens():
         parse_graph("n 3\ne 2 2")
 
 
-def test_parse_is_left_inverse_of_serialize():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        n = int(rng.integers(1, 10))
-        edges = {(i, j) for i in range(1, n) for j in range(i + 1, n + 1)
-                 if rng.random() < 0.5}
-        g = Graph(n, frozenset(edges))
-        assert parse_graph(serialize_graph(g)) == g
+@settings(max_examples=200, deadline=None)
+@given(graphs(1, 12))
+def test_parse_is_left_inverse_of_serialize(g):
+    assert parse_graph(serialize_graph(g)) == g

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from _strategies import graphs_with_pairs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lpgst.graphs import Graph, laplacian
@@ -59,6 +62,19 @@ def test_pair_fidelity_symmetric_in_pairs():
         t = float(rng.uniform(0.0, 100.0))
         assert pair_fidelity(s, (2, 3), (6, 7), t) == pytest.approx(
             pair_fidelity(s, (6, 7), (2, 3), t), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_pairs(), st.floats(0.0, 100.0))
+def test_pair_fidelity_bounded_and_symmetric_on_random_graphs(case, t):
+    g, frm, to = case
+    lap = laplacian(g)
+    s = eigendecompose(lap)
+    forward = pair_fidelity(s, frm, to, t)
+    assert 0.0 <= forward <= 1.0
+    # U(t) is symmetric, so swapping the pairs keeps the amplitude
+    assert pair_fidelity(s, to, frm, t) == pytest.approx(forward, abs=1e-12)
+    assert forward == pytest.approx(_expm_fidelity(lap, frm, to, t), abs=1e-9)
 
 
 def test_pair_fidelity_dimension_mismatch():

@@ -97,13 +97,13 @@ def test_build_relation_system_small_paths():
     columns, sigma, index_map = build_relation_system(3, path_support_partition(3, 1))
     assert index_map == (1, 2)
     assert sigma.sigma == (0, 1)
-    assert columns[0] == (1, 0, 1)   # theta_1 = 1 plus the ones row
-    assert columns[1] == (3, 0, 1)   # theta_2 = 3
+    assert columns.tolist() == [[1, 0, 1],    # theta_1 = 1 plus the ones row
+                                [3, 0, 1]]    # theta_2 = 3
 
     # single support eigenvalue: the zero-sum row forces an empty kernel
     columns, _, index_map = build_relation_system(2, path_support_partition(2, 1))
     assert index_map == (1,)
-    assert columns == [(2, 0, 1)]
+    assert columns.tolist() == [[2, 0, 1]]
     assert integer_kernel(columns, index_map).basis == ()
 
 
@@ -113,6 +113,16 @@ def test_build_relation_system_rejects_empty_support():
                        excluded=part.plus | part.minus | part.excluded)
     with pytest.raises(ValueError, match="degenerate"):
         build_relation_system(4, empty)
+
+
+def test_build_relation_system_rejects_indices_off_the_path():
+    # k = 0 and k = n have no eigenvalue row (theta_element refuses them too)
+    part = path_support_partition(4, 1)
+    for k in (0, 4):
+        bad = type(part)(plus=part.plus | {k}, minus=part.minus,
+                         excluded=part.excluded - {k})
+        with pytest.raises(ValueError, match="must lie in 1..3"):
+            build_relation_system(4, bad)
 
 
 def test_parity_holds_even_basis():

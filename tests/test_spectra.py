@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from _strategies import graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpgst.graphs import Graph, laplacian, make_path
 from scipy.linalg import eigh as scipy_eigh
@@ -120,6 +123,13 @@ def test_transition_matrix_unitary_random_times():
     for t in rng.uniform(0.0, 1e3, size=100):
         u = transition_matrix(s, t).entries
         assert np.abs(u @ u.conj().T - np.eye(12)).max() < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(1, 12), st.floats(-1e3, 1e3))
+def test_transition_matrix_unitary_on_random_graphs(g, t):
+    u = transition_matrix(eigendecompose(laplacian(g)), t).entries
+    assert np.abs(u @ u.conj().T - np.eye(g.n)).max() < 1e-9
 
 
 def test_transition_matrix_group_property():
