@@ -204,18 +204,31 @@ class CycloElement:
         return IntPolynomial(self.coefficients).evaluate(z)
 
 
-@functools.lru_cache(maxsize=4)
+# One table is up to n * n * 8 bytes and its build holds two of them:
+# n = 2048 takes 32 MiB, peaks 63 MiB above the process and builds in
+# 24-55 ms (2-core x86-64 VM); n = 4096 would take 128 MiB and peak 255 MiB.
+MAX_TABLE_N = 2048
+
+
+# Callers work on one n at a time, so one table is kept: witness checks of
+# several a per n hit it (189 of 252 calls on a perfbench witness_large_n
+# pass, the same with 4 slots), and the cross-check band, which alternates
+# n, misses with 1 slot or 4.
+@functools.lru_cache(maxsize=1)
 def theta_table(n: int) -> np.ndarray:
     """Exact coefficients of every path eigenvalue for one n, as one array.
 
     Row k - 1 (k = 1..n-1) holds the phi(2n) coefficients of
     2 - 2 cos(k pi / n) modulo Phi_2n. The array is read-only, int64 unless
     a coefficient could leave that range (then Python ints), and
-    n * phi(2n) * 8 bytes in int64 (8.4 MB at n = 1024), so only the last
-    few n are kept.
+    n * phi(2n) * 8 bytes in int64 (8.4 MB at n = 1024). n above
+    MAX_TABLE_N is refused before anything is built.
     """
     if n < 2:
         raise ValueError(f"path needs at least 2 vertices, got {n}")
+    if n > MAX_TABLE_N:
+        raise ValueError(
+            f"n must be at most {MAX_TABLE_N} for the eigenvalue table, got {n}")
     phi = _exact(_cyclotomic_array, 2 * n)
     table = _exact(_theta_rows, n, phi)
     table.flags.writeable = False

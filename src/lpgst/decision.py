@@ -14,8 +14,6 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .cyclotomic import _prime_factors, theta_table
 from .pair_states import path_support_partition
 from .relation_lattice import (_product_is_zero, build_relation_system,
@@ -237,15 +235,19 @@ def verify_witness(n: int, a: int, relation: tuple[int, ...]) -> WitnessCheck:
         raise ValueError(
             f"witness must have length {n - 1} for n={n}, got {len(relation)}")
     # the integer product would truncate a fractional entry to an integer;
-    # an integer dtype needs no scan
-    vec = np.asarray(relation)
-    if vec.dtype.kind != "i" and not all(isinstance(v, numbers.Integral)
-                                         for v in relation):
+    # checked once per distinct type, since an isinstance test per entry
+    # took half of a warm call at n = 1001
+    types = set(map(type, relation))
+    if not all(issubclass(t, numbers.Integral) for t in types):
         raise ValueError("witness entries must be integers")
+    # Python ints from here: numpy scalars wrap in sums (int64) and turn to
+    # floats in products (uint64 * int64)
+    relation = list(map(int, relation))
     part = path_support_partition(n, a)
     sum_zero = sum(relation) == 0
-    used = np.flatnonzero(vec)                  # positions k - 1
-    relation_zero = _product_is_zero(theta_table(n)[used], [vec[used].tolist()])
+    used = [i for i, v in enumerate(relation) if v]         # positions k - 1
+    relation_zero = _product_is_zero(theta_table(n)[used],
+                                     [[relation[i] for i in used]])
     sigma_sum = sum(relation[k - 1] for k in part.minus)
     off_support_zero = all(
         relation[k - 1] == 0 for k in part.excluded if 1 <= k <= n - 1)

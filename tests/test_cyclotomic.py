@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lpgst.cyclotomic import (CycloElement, IntPolynomial, _cyclotomic_array,
-                              _exact, _over_binomial, _theta_rows,
-                              cyclotomic_polynomial, euler_phi, theta_element,
-                              theta_table)
+from lpgst import cyclotomic
+from lpgst.cyclotomic import (MAX_TABLE_N, CycloElement, IntPolynomial,
+                              _cyclotomic_array, _exact, _over_binomial,
+                              _theta_rows, cyclotomic_polynomial, euler_phi,
+                              theta_element, theta_table)
 from lpgst.relation_lattice import _product_is_zero
 
 # n with dense and sparse phi(2n), up to decision.MAX_LATTICE_N
@@ -97,14 +98,34 @@ def test_over_binomial_rejects_inexact_division():
         _over_binomial(np.array([1, 1]), 2)
 
 
-def test_theta_table_is_read_only_and_cached_for_few_n():
+def test_theta_table_is_read_only_and_keeps_one_n():
     table = theta_table(9)
     assert table.shape == (8, euler_phi(18))
     with pytest.raises(ValueError):
         table[0, 0] = 7
-    assert theta_table.cache_info().maxsize <= 8
+    theta_table(10)
+    info = theta_table.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
     with pytest.raises(ValueError):
         theta_table(1)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_theta_table_refuses_large_n_before_building(monkeypatch):
+    def build(*args):
+        raise _Built
+    monkeypatch.setattr(cyclotomic, "_exact", build)
+    theta_table.cache_clear()
+    for n in (MAX_TABLE_N + 1, 10 ** 9):
+        with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
+            theta_table(n)
+        with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
+            theta_element(n, 1)
+    with pytest.raises(_Built):
+        theta_table(MAX_TABLE_N)
 
 
 def test_cyclotomic_vanishes_at_primitive_root():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +174,25 @@ def test_witnesses_verify_and_perturbations_break_them(instance):
 def test_verify_witness_length_check():
     with pytest.raises(ValueError, match="length"):
         verify_witness(9, 1, (1, -1))
+
+
+@pytest.mark.parametrize("scale", [2 ** 63, 2 ** 64 + 1])
+def test_verify_witness_exact_on_entries_past_int64(scale):
+    # entries of both signs past int64 would turn a numpy array of the
+    # tuple into float64, where + 1 is lost
+    cert = classify_path(15, 1).certificate
+    scaled = [c * scale for c in cert]
+    assert verify_witness(15, 1, tuple(scaled)).relation_zero
+    k = next(i for i, c in enumerate(scaled) if c)
+    scaled[k] += 1
+    assert not verify_witness(15, 1, tuple(scaled)).relation_zero
+    # numpy int64 entries are integers too; products and sums stay exact
+    wide = np.array([c * 2 ** 62 for c in cert], dtype=np.int64)
+    checks = verify_witness(15, 1, tuple(wide))
+    assert checks.relation_zero
+    assert checks.sigma_sum == classify_path(15, 1).sigma_sum * 2 ** 62
+    wide[k] += 1
+    assert not verify_witness(15, 1, tuple(wide)).relation_zero
 
 
 def test_verify_witness_rejects_non_integer_entries():
