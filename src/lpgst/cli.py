@@ -18,7 +18,7 @@ import numpy as np
 from .decision import SamePairError, classify_path, cross_check
 from .graphs import GraphParseError, laplacian, parse_graph
 from .pair_states import fidelity_sweep
-from .spectra import eigendecompose, path_spectrum
+from .spectra import check_vertex_count, eigendecompose, path_spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -206,6 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             with open(args.graph, encoding="utf-8") as fh:
                 graph = parse_graph(fh.read())
+            check_vertex_count(graph.n)     # before laplacian allocates n x n
             spectrum = eigendecompose(laplacian(graph))
             source = args.graph
         trace = fidelity_sweep(spectrum, args.from_pair, args.to_pair,

@@ -95,23 +95,12 @@ def factor_two_power(n: int) -> tuple[int, int]:
     return t, n
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def path_class(n: int, a: int) -> PathClass:
     """Mutually exclusive instance class from the factorization of n."""
     t, m = factor_two_power(n)
     if m == 1:
         kind = RULE_POWER_OF_TWO
-    elif _is_prime(m):
+    elif _prime_factors(m) == [m]:
         kind = RULE_ODD_PRIME if t == 0 else RULE_TWO_POWER_TIMES_PRIME
     else:
         kind = RULE_ODD_COMPOSITE
@@ -195,7 +184,7 @@ def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
     t, r = factor_two_power(n)
     if r == 1:
         return None
-    if _is_prime(r):
+    if _prime_factors(r) == [r]:
         if t == 0 or a % (2 ** (t - 1)) == 0:
             return None
         return _residue_witness(n, block=2 ** t)

@@ -80,10 +80,19 @@ def pair_vector(n: int, pair: tuple[int, int]) -> np.ndarray:
 
 
 def transfer_weights(s: Spectrum, frm: tuple[int, int], to: tuple[int, int]) -> np.ndarray:
-    """Per-eigenvalue weights (e_a-e_b)^T F_r (e_c-e_d) of the fidelity sum."""
+    """Per-eigenvalue weights (e_a-e_b)^T F_r (e_c-e_d) of the fidelity sum.
+
+    The four nonzero terms u_i F_r[i, j] v_j are added in increasing
+    (i, j) order, starting from zero, which rounds as the full sum over
+    the projectors does.
+    """
     u = pair_vector(s.n, frm)
     v = pair_vector(s.n, to)
-    return np.einsum("i,rij,j->r", u, s.projectors, v)
+    pairs = [(i, j) for i in np.flatnonzero(u) for j in np.flatnonzero(v)]
+    weights = np.zeros(s.eigenvalues.size)
+    for (i, j), entries in zip(pairs, s.projector_entries(pairs)):
+        weights += u[i] * v[j] * entries
+    return weights
 
 
 def pair_fidelity(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
@@ -98,8 +107,7 @@ def support(s: Spectrum, pair: tuple[int, int],
 
     The threshold is relative to the pair-state norm sqrt(2).
     """
-    u = pair_vector(s.n, pair)
-    norms = np.linalg.norm(np.einsum("rij,j->ri", s.projectors, u), axis=1)
+    norms = s.group_norms(pair_vector(s.n, pair))
     return frozenset(int(r) for r in np.nonzero(norms > tol * math.sqrt(2.0))[0])
 
 
@@ -113,13 +121,11 @@ def strong_cospectrality(s: Spectrum, p1: tuple[int, int], p2: tuple[int, int],
     """
     u = pair_vector(s.n, p1)
     v = pair_vector(s.n, p2)
-    fu = np.einsum("rij,j->ri", s.projectors, u)
-    fv = np.einsum("rij,j->ri", s.projectors, v)
+    diffs = s.group_norms(u - v)
+    sums = s.group_norms(u + v)
     thresh = tol * math.sqrt(2.0)
     plus, minus, excluded = set(), set(), set()
-    for r in range(s.eigenvalues.size):
-        diff = float(np.linalg.norm(fu[r] - fv[r]))
-        summ = float(np.linalg.norm(fu[r] + fv[r]))
+    for r, (diff, summ) in enumerate(zip(diffs, sums)):
         if diff <= thresh and summ <= thresh:
             excluded.add(r)
         elif diff <= thresh:

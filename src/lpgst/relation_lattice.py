@@ -159,8 +159,12 @@ def _product_is_zero(columns, basis) -> bool:
 def _exact_array(rows) -> np.ndarray:
     """2-D integer array: int64 when every entry fits, Python ints otherwise.
 
-    An int64 array is used as it is, without a copy.
+    An int64 array is used as it is, without a copy. An unsigned array is
+    scanned for entries past int64, which a cast would wrap to negatives.
     """
+    if (isinstance(rows, np.ndarray) and rows.dtype.kind == "u"
+            and rows.size and rows.max() > np.iinfo(np.int64).max):
+        return rows.astype(object)
     try:
         return np.asarray(rows, dtype=np.int64)
     except OverflowError:

@@ -1,32 +1,91 @@
 """Laplacian eigendecomposition: closed form for paths, LAPACK
 (numpy.linalg.eigh) for general symmetric matrices, eigenvalue grouping,
-projectors, and the continuous-time transition matrix exp(-itL).
+and the continuous-time transition matrix exp(-itL).
+
+A Spectrum holds eigenvectors grouped by eigenvalue and nothing derived
+from them: consumers read eigenvector rows in O(n^2), and the (m, n, n)
+projector array is built only when asked for.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+# Largest vertex count a spectrum is built for, checked before anything
+# n x n is allocated. Memory grows as n**2, and past n ~ 100 a sweep's
+# peak is the fidelity grid's 65536 x n block: on a 2-core x86-64 VM,
+# sweep --path 1024 at 100,000 steps takes 4.9 s and peaks at 1.06 GB.
+MAX_SPECTRUM_N = 1024
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError when n is above MAX_SPECTRUM_N."""
+    if n > MAX_SPECTRUM_N:
+        raise ValueError(
+            f"n must be at most {MAX_SPECTRUM_N} for a spectrum, got {n}")
+
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Distinct eigenvalues with orthonormal eigenvectors and projectors.
+    """Distinct eigenvalues with orthonormal eigenvectors grouped by value.
 
     eigenvalues: (m,) strictly increasing distinct values
     multiplicities: (m,) positive ints summing to n
-    eigenvectors: (n, n) orthonormal columns, grouped by eigenvalue in order
-    projectors: (m, n, n) symmetric idempotents, one per distinct eigenvalue
+    eigenvectors: (n, n) orthonormal columns; group r is the
+        multiplicities[r] columns from group_starts[r] on
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     eigenvectors: np.ndarray
-    projectors: np.ndarray
 
     @property
     def n(self) -> int:
         return self.eigenvectors.shape[0]
+
+    @property
+    def group_starts(self) -> np.ndarray:
+        """(m,) column index of each group's first eigenvector."""
+        return np.cumsum(self.multiplicities) - self.multiplicities
+
+    def group_norms(self, x: np.ndarray) -> np.ndarray:
+        """(m,) norms ||F_r x|| = ||V_r^T x|| of x's eigenspace components."""
+        coords = x @ self.eigenvectors
+        return np.sqrt(np.add.reduceat(coords * coords, self.group_starts))
+
+    def projector_entries(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+        """(len(pairs), m) entries F_r[i, j] for 0-based index pairs (i, j).
+
+        A simple eigenvalue's entry is the product V[i, c] * V[j, c]; a
+        repeated one's is read from the group's block @ block.T (one
+        n x n product per repeated eigenvalue, none kept), so each entry
+        rounds exactly as in the projectors property.
+        """
+        vecs = self.eigenvectors
+        starts = self.group_starts
+        out = np.array([vecs[i] * vecs[j] for i, j in pairs])[:, starts]
+        for r in np.flatnonzero(self.multiplicities > 1):
+            block = vecs[:, starts[r]:starts[r] + self.multiplicities[r]]
+            gram = block @ block.T
+            out[:, r] = [gram[i, j] for i, j in pairs]
+        return out
+
+    @functools.cached_property
+    def projectors(self) -> np.ndarray:
+        """(m, n, n) symmetric idempotents, one per distinct eigenvalue.
+
+        Built on first access and kept, read-only: m * n * n floats, 8 GB
+        at n = 1000 for a simple spectrum. Verification and tests use it;
+        the sweep path does not.
+        """
+        vecs = self.eigenvectors
+        blocks = (vecs[:, lo:lo + k]
+                  for lo, k in zip(self.group_starts, self.multiplicities))
+        projectors = np.array([block @ block.T for block in blocks])
+        projectors.flags.writeable = False
+        return projectors
 
 
 @dataclass(frozen=True)
@@ -43,10 +102,12 @@ def path_spectrum(n: int) -> Spectrum:
     Eigenvalues 2 - 2 cos(k pi / n) for k = 0..n-1 are all simple. The
     k-th eigenvector has entries proportional to cos((2u-1) k pi / (2n));
     the degenerate k = 0 formula is replaced by the normalized all-ones
-    kernel vector.
+    kernel vector. n above MAX_SPECTRUM_N is refused before anything is
+    built.
     """
     if n < 2:
         raise ValueError(f"path needs at least 2 vertices, got {n}")
+    check_vertex_count(n)
     k = np.arange(n)
     eigenvalues = 2.0 - 2.0 * np.cos(k * np.pi / n)
     u = np.arange(1, n + 1)
@@ -54,12 +115,10 @@ def path_spectrum(n: int) -> Spectrum:
     vectors[:, 0] = 1.0 / np.sqrt(n)
     phases = np.outer(2 * u - 1, k[1:]) * (np.pi / (2 * n))
     vectors[:, 1:] = np.sqrt(2.0 / n) * np.cos(phases)
-    projectors = np.einsum("ik,jk->kij", vectors, vectors)
     return Spectrum(
         eigenvalues=eigenvalues,
         multiplicities=np.ones(n, dtype=np.int64),
         eigenvectors=vectors,
-        projectors=projectors,
     )
 
 
@@ -67,8 +126,9 @@ def eigendecompose(lap: np.ndarray, grouping_tol: float | None = None) -> Spectr
     """Diagonalize a real symmetric matrix and group near-equal eigenvalues.
 
     Eigenvalues closer than grouping_tol (default 1e-8 * (1 + spectral
-    radius)) are merged into one multiplicity group with a combined
-    projector. Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK
+    radius)) are merged into one multiplicity group, whose eigenvalue is
+    their mean; the eigenvectors are LAPACK's, columns and signs as
+    returned. Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK
     fails to converge.
     """
     a = np.asarray(lap, dtype=np.float64)
@@ -78,30 +138,21 @@ def eigendecompose(lap: np.ndarray, grouping_tol: float | None = None) -> Spectr
         raise ValueError("matrix is not symmetric")
 
     diag, vectors = np.linalg.eigh(a)
-    vectors = _canonicalize_signs(vectors)
 
     if grouping_tol is None:
         radius = float(np.abs(diag).max()) if diag.size else 0.0
         grouping_tol = 1e-8 * (1.0 + radius)
 
     groups = _group_close(diag, grouping_tol)
-    m = len(groups)
-    n = a.shape[0]
-    eigenvalues = np.empty(m)
-    multiplicities = np.empty(m, dtype=np.int64)
-    projectors = np.empty((m, n, n))
-    for r, (lo, hi) in enumerate(groups):
-        eigenvalues[r] = diag[lo:hi].mean()
-        multiplicities[r] = hi - lo
-        block = vectors[:, lo:hi]
-        projectors[r] = block @ block.T
-    return Spectrum(eigenvalues, multiplicities, vectors, projectors)
+    eigenvalues = np.array([diag[lo:hi].mean() for lo, hi in groups])
+    multiplicities = np.array([hi - lo for lo, hi in groups], dtype=np.int64)
+    return Spectrum(eigenvalues, multiplicities, vectors)
 
 
 def transition_matrix(s: Spectrum, t: float) -> TransitionMatrix:
     """U(t) = sum_r exp(-i t theta_r) F_r; unitary, identity at t = 0."""
-    phases = np.exp(-1j * t * s.eigenvalues)
-    entries = np.einsum("r,rij->ij", phases, s.projectors)
+    phases = np.repeat(np.exp(-1j * t * s.eigenvalues), s.multiplicities)
+    entries = (s.eigenvectors * phases) @ s.eigenvectors.T
     return TransitionMatrix(entries=entries, time=float(t))
 
 
@@ -129,17 +180,6 @@ def projector_residuals(s: Spectrum, lap: np.ndarray | None = None) -> dict[str,
         rebuilt = np.einsum("r,rij->ij", s.eigenvalues, s.projectors)
         res["reconstruction"] = float(np.abs(rebuilt - np.asarray(lap, dtype=float)).max())
     return res
-
-
-def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first non-negligible entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
 
 
 def _group_close(values: np.ndarray, tol: float) -> list[tuple[int, int]]:

@@ -211,6 +211,7 @@ def _box_solutions(columns, box=3):
     and filtered for integrality. Any box solution has its free
     coordinates inside the box, so none is missed.
     """
+    columns = [list(map(int, c)) for c in columns]   # Python ints, read once
     d = len(columns)
     rows = len(columns[0])
     mat, pivot_cols = _rref([[columns[j][i] for j in range(d)]

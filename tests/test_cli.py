@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpgst import cli
+from lpgst import cli, spectra
 from lpgst.cli import (MAX_CLASSIFY_WORK, _classify_work, _csv_row,
                        _json_floats, _round12, main)
 from lpgst.decision import MAX_LATTICE_N
+from lpgst.graphs import laplacian
 from lpgst.pair_states import MAX_SWEEP_STEPS
+from lpgst.spectra import MAX_SPECTRUM_N
 
 
 def _run(capsys, argv):
@@ -237,6 +239,39 @@ def test_sweep_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys, case)
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_SWEEPS[case]
 
 
+# The same digests for two graphs with repeated Laplacian eigenvalues,
+# taken while the spectrum still stored its projectors. Each pair has
+# weight on a repeated eigenvalue, which the simple-spectrum digests
+# above never reach; summing that eigenspace's column products in another
+# order changes these bytes.
+_REPEATED_GRAPHS = {
+    "C8": ("n 8\n" + "".join(f"e {k} {k + 1}\n" for k in range(1, 8))
+           + "e 1 8\n", ["--from", "1,2", "--to", "5,6"]),
+    "K1,6": ("n 7\n" + "".join(f"e 1 {v}\n" for v in range(2, 8)),
+             ["--from", "2,3", "--to", "4,5"]),
+}
+_REPEATED_SWEEPS = {
+    ("C8", "json"): "915dab7697745b2e3da0717d270750f7bcd23e9b7b98aa1e93def00f929c4d95",
+    ("C8", "csv"): "ab2343384269bce466e76ccf7270391c70f96b2184b1f26c41185e7ad8f9cb02",
+    ("K1,6", "json"): "ba6b7435496e9e84b50c62dba8e37cc77d44cd6effc1377f9af977612ada4125",
+    ("K1,6", "csv"): "39656fb53c898ad0dd78cd1a80a6a3aa17a5a3d1cf359deac84f9b05b4796523",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_SWEEPS), ids="-".join)
+def test_repeated_eigenvalue_sweep_matches_golden_digest(tmp_path, monkeypatch,
+                                                        capsys, case):
+    name, fmt = case
+    text, pairs = _REPEATED_GRAPHS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(text)
+    code, out, _ = _run(capsys, ["sweep", "--graph", "g.txt", *pairs,
+                                 "--tmax", "317.123", "--steps", "5000",
+                                 "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPEATED_SWEEPS[case]
+
+
 def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -306,6 +341,39 @@ def test_sweep_steps_above_limit_exits_2(capsys, steps):
     assert code == 2
     assert out == ""
     assert f"error: steps must lie in 2..{MAX_SWEEP_STEPS}" in err
+
+
+def test_sweep_vertex_limit_both_sides(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_N", 6)
+    built = []
+    monkeypatch.setattr(cli, "laplacian",
+                        lambda g: built.append(g.n) or laplacian(g))
+    for n, expected in ((6, 0), (7, 2)):
+        (tmp_path / "g.txt").write_text(
+            f"n {n}\n" + "".join(f"e {k} {k + 1}\n" for k in range(1, n)))
+        for source in (["--path", str(n)], ["--graph", str(tmp_path / "g.txt")]):
+            code, out, err = _run(capsys, ["sweep", *source, "--from", "1,2",
+                                           "--to", "2,3", "--tmax", "10",
+                                           "--steps", "50"])
+            assert code == expected, source
+            if expected:
+                assert out == ""
+                assert err.startswith("error: n must be at most 6 for a spectrum")
+    assert built == [6]     # the refused graph never reached laplacian
+
+
+@pytest.mark.parametrize("source", ["path", "graph"])
+def test_sweep_above_vertex_limit_exits_2(tmp_path, capsys, source):
+    # 10**9 vertices: an n x n float64 array would need 8 EB
+    (tmp_path / "g.txt").write_text(f"n {10 ** 9}\ne 1 2\ne 2 3\n")
+    argv = (["--path", str(10 ** 9)] if source == "path"
+            else ["--graph", str(tmp_path / "g.txt")])
+    code, out, err = _run(capsys, ["sweep", *argv, "--from", "1,2",
+                                   "--to", "2,3", "--tmax", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: n must be at most {MAX_SPECTRUM_N} "
+                          f"for a spectrum, got {10 ** 9}")
 
 
 def test_sweep_bad_pair_exits_2(capsys):

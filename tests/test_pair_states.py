@@ -211,3 +211,62 @@ def test_pair_vector_validation():
         pair_vector(4, (2, 2))
     with pytest.raises(ValueError):
         pair_vector(4, (0, 1))
+
+
+def _family_graphs():
+    """Paths, cycles, stars, complete, hypercube, complete bipartite and
+    seeded random graphs: simple spectra and every kind of repeated one."""
+    def graph(n, edges):
+        return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
+
+    out = [graph(n, [(k, k + 1) for k in range(1, n)]) for n in (2, 7, 16)]
+    out += [graph(n, [(k, k % n + 1) for k in range(1, n + 1)]) for n in (5, 8, 12)]
+    out += [graph(n, [(1, v) for v in range(2, n + 1)]) for n in (4, 7)]
+    out += [graph(n, [(u, v) for u in range(1, n + 1)
+                      for v in range(u + 1, n + 1)]) for n in (4, 6)]
+    out.append(graph(8, [(u + 1, (u ^ (1 << b)) + 1) for u in range(8)
+                         for b in range(3)]))
+    out += [graph(p + q, [(u, v) for u in range(1, p + 1)
+                          for v in range(p + 1, p + q + 1)])
+            for p, q in ((2, 3), (3, 3))]
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        n = int(rng.integers(3, 14))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        keep = rng.random(len(pairs)) < 0.4
+        out.append(graph(n, [p for p, k in zip(pairs, keep) if k]))
+    return out
+
+
+def test_transfer_weights_bitwise_equal_to_projector_einsum():
+    # Frozen reference: the weights were this einsum over the stored
+    # projectors. The eigenvector-row sum must round the same, or sweep
+    # stdout changes.
+    rng = np.random.default_rng(23)
+    checked = repeated = 0
+    for g in _family_graphs():
+        s = eigendecompose(laplacian(g))
+        spectra = [s, path_spectrum(g.n)] if g.n >= 2 else [s]
+        repeated += int((s.multiplicities > 1).any())
+        for spec in spectra:
+            for _ in range(8):
+                frm = tuple(int(x) for x in rng.choice(g.n, 2, replace=False) + 1)
+                to = tuple(int(x) for x in rng.choice(g.n, 2, replace=False) + 1)
+                u, v = pair_vector(g.n, frm), pair_vector(g.n, to)
+                expected = np.einsum("i,rij,j->r", u, spec.projectors, v)
+                got = transfer_weights(spec, frm, to)
+                assert got.tobytes() == expected.tobytes(), (g, frm, to)
+                checked += 1
+    assert repeated >= 10 and checked > 300
+
+
+def test_numeric_path_does_not_build_projectors():
+    s = eigendecompose(laplacian(Graph(8, frozenset(
+        (min(k, k % 8 + 1), max(k, k % 8 + 1)) for k in range(1, 9)))))
+    transfer_weights(s, (1, 2), (5, 6))
+    support(s, (1, 2))
+    strong_cospectrality(s, (1, 2), (5, 6))
+    fidelity_sweep(s, (1, 2), (5, 6), 10.0, 100)
+    assert "projectors" not in vars(s)
+    assert s.projectors.shape == (5, 8, 8)
+    assert "projectors" in vars(s)

@@ -207,6 +207,18 @@ def test_integer_kernel_rejects_non_integer_entries():
     assert integer_kernel([(2 ** 63,), (-1,)]).basis == ((1, 2 ** 63),)
 
 
+def test_uint64_entries_past_int64_are_not_wrapped():
+    # an int64 cast wrapped 2**63 to -2**63, and the kernel returned
+    # ((1, 2**63),), which combines the columns to 2**64, not to zero
+    columns = np.array([[2 ** 63], [1]], dtype=np.uint64)
+    assert integer_kernel(columns).basis == ((1, -2 ** 63),)
+    assert integer_kernel(columns).basis == integer_kernel([(2 ** 63,), (1,)]).basis
+    assert not relation_lattice._product_is_zero(columns, ((1, 2 ** 63),))
+    small = np.array([[3], [1]], dtype=np.uint64)
+    assert relation_lattice._exact_array(small).dtype == np.int64
+    assert integer_kernel(small).basis == ((1, -3),)
+
+
 def test_int64_wraparound_cannot_pass_verification():
     columns = [(2 ** 32,), (0,)]
     basis = ((2 ** 32, 1),)           # wrong: combines the columns to 2**64

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lpgst.graphs import Graph, laplacian, make_path
 from scipy.linalg import eigh as scipy_eigh
 
+from lpgst import spectra
 from lpgst.spectra import (eigendecompose, path_spectrum, projector_residuals,
                            transition_matrix)
 
@@ -23,6 +24,13 @@ def test_path_spectrum_small_eigenvalues():
 def test_path_spectrum_rejects_tiny():
     with pytest.raises(ValueError):
         path_spectrum(1)
+
+
+def test_path_spectrum_vertex_limit_both_sides(monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_SPECTRUM_N", 5)
+    assert path_spectrum(5).n == 5
+    with pytest.raises(ValueError, match="n must be at most 5 for a spectrum, got 6"):
+        path_spectrum(6)
 
 
 def test_path_spectrum_orthonormal():
@@ -115,6 +123,27 @@ def test_transition_matrix_p2_half_period():
     u = transition_matrix(s, math.pi / 2)
     expected = s.projectors[0] - s.projectors[1]
     assert np.abs(u.entries - expected).max() < 1e-12
+
+
+def test_transition_matrix_matches_projector_sum():
+    # U(t) from eigenvector columns against sum_r exp(-i t theta_r) F_r,
+    # on spectra with repeated eigenvalues
+    for graph in (_complete(5), _hypercube(3),
+                  Graph(7, frozenset((1, v) for v in range(2, 8)))):
+        s = eigendecompose(laplacian(graph))
+        for t in (0.3, 7.0, 123.4):
+            expected = np.einsum("r,rij->ij", np.exp(-1j * t * s.eigenvalues),
+                                 s.projectors)
+            assert np.abs(transition_matrix(s, t).entries - expected).max() < 1e-12
+
+
+def test_group_norms_match_projector_norms():
+    rng = np.random.default_rng(9)
+    for graph in (_complete(6), _hypercube(3), make_path(9)):
+        s = eigendecompose(laplacian(graph))
+        x = rng.normal(size=graph.n)
+        expected = np.linalg.norm(s.projectors @ x, axis=1)
+        assert np.abs(s.group_norms(x) - expected).max() < 1e-12
 
 
 def test_transition_matrix_unitary_random_times():
