@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .decision import SamePairError, classify_path, cross_check
+from .decision import SamePairError, cross_check, path_class
 from .graphs import GraphParseError, laplacian, parse_graph
 from .pair_states import fidelity_sweep
 from .spectra import check_vertex_count, eigendecompose, path_spectrum
@@ -23,10 +23,10 @@ from .spectra import check_vertex_count, eigendecompose, path_spectrum
 SCHEMA_VERSION = "1"
 
 # Largest classify selection, in rows * n summed over n (an n without rows
-# counts as one row), checked before any row is computed: each row's
-# witness vector and support partition are O(n) loops. On a 2-core x86-64
-# VM, --n 4000 (16.0M, every row a no-instance with a witness) takes 4.8 s,
-# --n 2..360 (15.6M) 3.2 s and --n 3000 (9.0M) 2.6 s.
+# counts as one row), checked before any row is computed. A row costs one
+# factorization of n, so the limit bounds the table printed more than the
+# time: on a 2-core x86-64 VM, --n 4000 (16.0M) takes 0.3 s end to end and
+# --n 2..360 (15.6M) 0.5 s.
 MAX_CLASSIFY_WORK = 16_000_000
 
 
@@ -132,12 +132,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             if 2 * a == n:
                 rows.append({"n": n, "a": a, "verdict": "same-pair", "rule": ""})
                 continue
-            verdict = classify_path(n, a)
-            rows.append({
-                "n": n, "a": a,
-                "verdict": "yes" if verdict.has_lpgst else "no",
-                "rule": verdict.rule,
-            })
+            cls = path_class(n, a)
+            rows.append({"n": n, "a": a,
+                         "verdict": "yes" if cls.has_lpgst else "no",
+                         "rule": cls.kind})
     if not rows:
         print(f"error: --a {_span_text(args.a)} selects no a in 1..n-1 "
               f"for --n {_span_text(args.n)}", file=sys.stderr)
@@ -145,7 +143,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if skipped:
         print(f"note: --a values outside 1..n-1 skipped: {'; '.join(skipped)}",
               file=sys.stderr)
-    rows.sort(key=lambda r: (r["n"], r["a"]))
     if args.format == "csv":
         lines = [f"# schema_version={SCHEMA_VERSION}", "n,a,verdict,rule"]
         lines.extend(f"{r['n']},{r['a']},{r['verdict']},{r['rule']}" for r in rows)

@@ -5,9 +5,10 @@ primitive 2n-th root of unity, so each one has an exact image as an
 integer coefficient vector modulo the 2n-th cyclotomic polynomial.
 
 Phi_m and the table of every eigenvalue's coefficients for one n are built
-as integer arrays: numpy int64 while a bound checked before each step rules
-out overflow (see _cyclotomic_array and _theta_rows), and the same code on
-Python ints in an object array otherwise. Nothing here ever rounds.
+as numpy int64 arrays. A bound checked before each step rules out overflow
+(see _cyclotomic_array and _theta_rows) and raises OverflowError if it
+could happen; no accepted input reaches it (every n <= MAX_TABLE_N builds
+with entries at most 14). Nothing here ever rounds.
 """
 from __future__ import annotations
 
@@ -113,13 +114,7 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
     _cyclotomic_array)."""
     if m < 1:
         raise ValueError(f"cyclotomic index must be positive, got {m}")
-    return IntPolynomial(tuple(_exact(_cyclotomic_array, m).tolist()))
-
-
-def _exact(build, *args) -> np.ndarray:
-    """build(*args, np.int64), or build(*args, object) when that returns None."""
-    out = build(*args, np.int64)
-    return out if out is not None else build(*args, object)
+    return IntPolynomial(tuple(_cyclotomic_array(m).tolist()))
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -127,26 +122,26 @@ def _max_abs(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
-def _cyclotomic_array(m: int, dtype) -> np.ndarray | None:
-    """Coefficients of Phi_m (index = power) in the given dtype.
+def _cyclotomic_array(m: int) -> np.ndarray:
+    """Coefficients of Phi_m (index = power) as int64.
 
     Phi_m = prod over d | m of (x^d - 1)^mu(m/d). Only squarefree m/d
     count: d = m / (product of a set S of m's primes), mu = (-1)^|S|. The
     factors with mu = +1 are multiplied in first (a shift and a subtract
-    each), then the ones with mu = -1 are divided out exactly. Returns None
-    when an int64 step could overflow.
+    each), then the ones with mu = -1 are divided out exactly. Raises
+    OverflowError when a step could leave int64.
     """
     primes = _prime_factors(m)
     steps = []
     for mask in range(2 ** len(primes)):
         chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
         steps.append((len(chosen) % 2, m // math.prod(chosen)))
-    poly = np.ones(1, dtype=dtype)
+    poly = np.ones(1, dtype=np.int64)
     for divide, d in sorted(steps):
         # every entry a step writes (running sums included) is a signed sum
         # of at most len(poly) entries of poly
-        if dtype is not object and len(poly) * _max_abs(poly) >= 2 ** 63:
-            return None
+        if len(poly) * _max_abs(poly) >= 2 ** 63:
+            raise OverflowError(f"Phi_{m} could leave int64")
         poly = _over_binomial(poly, d) if divide else _times_binomial(poly, d)
     return poly
 
@@ -219,38 +214,36 @@ def theta_table(n: int) -> np.ndarray:
     """Exact coefficients of every path eigenvalue for one n, as one array.
 
     Row k - 1 (k = 1..n-1) holds the phi(2n) coefficients of
-    2 - 2 cos(k pi / n) modulo Phi_2n. The array is read-only, int64 unless
-    a coefficient could leave that range (then Python ints), and
-    n * phi(2n) * 8 bytes in int64 (8.4 MB at n = 1024). n above
-    MAX_TABLE_N is refused before anything is built.
+    2 - 2 cos(k pi / n) modulo Phi_2n. The array is read-only int64,
+    n * phi(2n) * 8 bytes (8.4 MB at n = 1024). n above MAX_TABLE_N is
+    refused before anything is built.
     """
     if n < 2:
         raise ValueError(f"path needs at least 2 vertices, got {n}")
     if n > MAX_TABLE_N:
         raise ValueError(
             f"n must be at most {MAX_TABLE_N} for the eigenvalue table, got {n}")
-    phi = _exact(_cyclotomic_array, 2 * n)
-    table = _exact(_theta_rows, n, phi)
+    table = _theta_rows(n, _cyclotomic_array(2 * n))
     table.flags.writeable = False
     return table
 
 
-def _theta_rows(n: int, phi: np.ndarray, dtype) -> np.ndarray | None:
-    """Rows 2 - x^k + x^(n-k) mod phi for k = 1..n-1, in the given dtype.
+def _theta_rows(n: int, phi: np.ndarray) -> np.ndarray:
+    """Rows 2 - x^k + x^(n-k) mod phi for k = 1..n-1, as int64.
 
     The eigenvalue is 2 - x^k - x^(2n-k) at the primitive 2n-th root, and
     Phi_2n divides x^n + 1, so x^(2n-k) = -x^(n-k). The reduced powers
     R[j] = x^j mod phi come from R[j] = x * R[j-1] with one vector step per
     j: shift up, then subtract lead * phi, where lead is the coefficient
-    shifted past the degree. Returns None when an int64 entry could reach
+    shifted past the degree. Raises OverflowError when an entry could reach
     2**61.
     """
     deg = len(phi) - 1
     scale = _max_abs(phi)
-    if dtype is not object and scale >= 2 ** 61:
-        return None
-    low = phi[:-1].astype(dtype)
-    powers = np.zeros((n, deg), dtype=dtype)
+    if scale >= 2 ** 61:
+        raise OverflowError(f"theta rows for n = {n} could leave int64")
+    low = phi[:-1]
+    powers = np.zeros((n, deg), dtype=np.int64)
     diagonal = np.arange(min(n, deg))
     powers[diagonal, diagonal] = 1
     # every entry of powers[:j] is at most bound; a step adds |lead| * scale
@@ -258,10 +251,9 @@ def _theta_rows(n: int, phi: np.ndarray, dtype) -> np.ndarray | None:
     for j in range(deg, n):
         prev = powers[j - 1]
         lead = prev[-1]
-        if dtype is not object:
-            bound += abs(int(lead)) * scale
-            if bound >= 2 ** 61:
-                return None
+        bound += abs(int(lead)) * scale
+        if bound >= 2 ** 61:
+            raise OverflowError(f"theta rows for n = {n} could leave int64")
         powers[j, 1:] = prev[:-1]
         if lead:
             powers[j] -= lead * low

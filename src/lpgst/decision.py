@@ -44,6 +44,16 @@ class PathClass:
     two_power_exponent: int
     odd_part: int
 
+    @property
+    def has_lpgst(self) -> bool:
+        """The closed-form rule: transfer exists when n is a power of two or
+        an odd prime (any a), and when n = 2^t * p (p odd prime, t >= 1)
+        exactly for a divisible by 2^(t-1); never when the odd part is
+        composite."""
+        if self.kind == RULE_TWO_POWER_TIMES_PRIME:
+            return self.a % 2 ** (self.two_power_exponent - 1) == 0
+        return self.kind != RULE_ODD_COMPOSITE
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -110,30 +120,18 @@ def path_class(n: int, a: int) -> PathClass:
 def classify_path(n: int, a: int) -> Verdict:
     """Closed-form verdict for the mirror edge pairs on the n-path.
 
-    Transfer exists when n is a power of two or an odd prime (any a),
-    and when n = 2^t * p (p odd prime, t >= 1) exactly for a divisible
-    by 2^(t-1). Paths whose odd part is composite never admit it; those
-    no-verdicts carry the explicit witness vector.
+    The verdict is PathClass.has_lpgst; no-verdicts carry the explicit
+    witness vector of witness_relation.
     """
     _validate_instance(n, a)
     cls = path_class(n, a)
     frm, to = _mirror_pairs(n, a)
-
-    if cls.kind in (RULE_POWER_OF_TWO, RULE_ODD_PRIME):
-        has = True
-    elif cls.kind == RULE_TWO_POWER_TIMES_PRIME:
-        has = a % (2 ** (cls.two_power_exponent - 1)) == 0
-    else:
-        has = False
-
-    certificate = None
-    sigma_sum = None
-    if not has:
+    certificate = sigma_sum = None
+    if not cls.has_lpgst:
         certificate = witness_relation(n, a)
-        if certificate is not None:
-            part = path_support_partition(n, a)
-            sigma_sum = sum(certificate[k - 1] for k in part.minus)
-    return Verdict(has_lpgst=has, from_pair=frm, to_pair=to,
+        part = path_support_partition(n, a)
+        sigma_sum = sum(certificate[k - 1] for k in part.minus)
+    return Verdict(has_lpgst=cls.has_lpgst, from_pair=frm, to_pair=to,
                    provenance="closed-form", rule=cls.kind,
                    certificate=certificate, sigma_sum=sigma_sum)
 
@@ -170,30 +168,25 @@ def decide_path_lpgst(n: int, a: int) -> Verdict:
 def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
     """Explicit integer relation with odd minus-parity, when one exists.
 
-    Covers paths whose odd part r is composite (n = 2^t * r) and, with
-    the same residue-class machinery, the n = 2^t * p instances where a
-    is not divisible by 2^(t-1). Returns None for yes-instances.
-
-    The vector is +1 on k congruent to 1 or q+2 and -1 on k congruent to
-    2 or q+1 modulo 2q, where the block size q is 2^t when r | a (then
-    t >= 2) and 2^t * p otherwise, p being an odd prime factor of r
-    dividing n / gcd(a, n). Alternating-cosine cancellation makes the
-    eigenvalue sum vanish while exactly one minus-position survives.
+    Returns one for every no-instance of PathClass.has_lpgst, None for
+    yes-instances. With n = 2^t * r, r odd, the vector is +1 on k
+    congruent to 1 or q+2 and -1 on k congruent to 2 or q+1 modulo 2q. The
+    block size q is 2^t when r is prime, and when r is composite and
+    divides a (distinct pairs then force t >= 2); otherwise it is 2^t * p
+    for the first odd prime p of r dividing n / gcd(a, n).
+    Alternating-cosine cancellation makes the eigenvalue sum vanish while
+    exactly one minus-position survives.
     """
     _validate_instance(n, a)
-    t, r = factor_two_power(n)
-    if r == 1:
+    cls = path_class(n, a)
+    if cls.has_lpgst:
         return None
-    if _prime_factors(r) == [r]:
-        if t == 0 or a % (2 ** (t - 1)) == 0:
-            return None
-        return _residue_witness(n, block=2 ** t)
-    reduced = n // math.gcd(a, n)
-    candidates = [p for p in _prime_factors(r) if reduced % p == 0]
-    if not candidates:
-        # r divides a; the pair-distinctness precondition forces t >= 2.
-        return _residue_witness(n, block=2 ** t)
-    return _residue_witness(n, block=(2 ** t) * candidates[0])
+    block = 2 ** cls.two_power_exponent
+    if cls.kind == RULE_ODD_COMPOSITE:
+        reduced = n // math.gcd(a, n)
+        block *= next((p for p in _prime_factors(cls.odd_part)
+                       if reduced % p == 0), 1)
+    return _residue_witness(n, block)
 
 
 def _residue_witness(n: int, block: int) -> tuple[int, ...]:

@@ -11,11 +11,20 @@ import numpy as np
 from . import _kernels
 from .spectra import Spectrum
 
-DEFAULT_SUPPORT_TOL = 1e-8
+SUPPORT_TOL = 1e-8
 
 # Largest grid fidelity_sweep accepts, checked before anything is
 # allocated: 10M points already take 160 MB of times and fidelities.
 MAX_SWEEP_STEPS = 10_000_000
+
+# Largest steps * (distinct eigenvalues) fidelity_sweep accepts, checked
+# after the steps bound and before the grid is built: the grid's time is
+# linear in it. It keeps the full 10M steps for up to 20 eigenvalues and
+# allows 195,312 steps on the 1024-path. The worst accepted CLI sweeps on a
+# 2-core x86-64 VM: sweep --path 1024 --steps 195312 takes 9.0 s and peaks
+# at 1.07 GB; --path 20 --steps 10000000 takes 16.5 s / 1.6 GB in CSV and
+# 21.6 s / 1.2 GB in JSON, most of it writing the trace.
+MAX_SWEEP_WORK = 200_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,14 +55,6 @@ class SupportPartition:
     @property
     def support(self) -> frozenset[int]:
         return self.plus | self.minus
-
-    def sign(self, index: int) -> int:
-        """+1 for plus, -1 for minus, 0 for excluded."""
-        if index in self.plus:
-            return 1
-        if index in self.minus:
-            return -1
-        return 0
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,18 @@ def pair_fidelity(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     return _fidelity_at(s.eigenvalues, transfer_weights(s, frm, to), t)
 
 
-def support(s: Spectrum, pair: tuple[int, int],
-            tol: float = DEFAULT_SUPPORT_TOL) -> frozenset[int]:
-    """Indices of eigenvalues theta with ||F_theta (e_a - e_b)|| > tol*sqrt(2).
+def support(s: Spectrum, pair: tuple[int, int]) -> frozenset[int]:
+    """Indices of eigenvalues theta with ||F_theta (e_a - e_b)|| above
+    SUPPORT_TOL * sqrt(2).
 
     The threshold is relative to the pair-state norm sqrt(2).
     """
     norms = s.group_norms(pair_vector(s.n, pair))
-    return frozenset(int(r) for r in np.nonzero(norms > tol * math.sqrt(2.0))[0])
+    return frozenset(map(int, np.flatnonzero(norms > SUPPORT_TOL * math.sqrt(2.0))))
 
 
-def strong_cospectrality(s: Spectrum, p1: tuple[int, int], p2: tuple[int, int],
-                         tol: float = DEFAULT_SUPPORT_TOL) -> SupportPartition:
+def strong_cospectrality(s: Spectrum, p1: tuple[int, int],
+                         p2: tuple[int, int]) -> SupportPartition:
     """Sign partition of the support when F_r(e_a-e_b) = +/- F_r(e_c-e_d).
 
     For each eigenvalue the smaller of ||v - w|| and ||v + w|| decides the
@@ -123,7 +124,7 @@ def strong_cospectrality(s: Spectrum, p1: tuple[int, int], p2: tuple[int, int],
     v = pair_vector(s.n, p2)
     diffs = s.group_norms(u - v)
     sums = s.group_norms(u + v)
-    thresh = tol * math.sqrt(2.0)
+    thresh = SUPPORT_TOL * math.sqrt(2.0)
     plus, minus, excluded = set(), set(), set()
     for r, (diff, summ) in enumerate(zip(diffs, sums)):
         if diff <= thresh and summ <= thresh:
@@ -160,8 +161,9 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
                    t_max: float, steps: int) -> FidelityTrace:
     """Grid sweep of the transfer fidelity over [0, t_max] with refinement.
 
-    Scans a uniform grid of `steps` points (2..MAX_SWEEP_STEPS), then runs
-    60 golden-section iterations in the one-cell window around the best
+    Scans a uniform grid of `steps` points (2..MAX_SWEEP_STEPS, and at most
+    MAX_SWEEP_WORK in steps times eigenvalues), then runs 60 golden-section
+    iterations in the one-cell window around the best
     grid point. The refined point is inserted into the returned trace, so
     sup_estimate is the maximum of the stored fidelities.
     """
@@ -170,6 +172,10 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     if not 2 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(
             f"steps must lie in 2..{MAX_SWEEP_STEPS}, got {steps}")
+    if steps * s.eigenvalues.size > MAX_SWEEP_WORK:
+        raise ValueError(
+            f"steps times eigenvalues must be at most {MAX_SWEEP_WORK}, got "
+            f"{steps} * {s.eigenvalues.size}")
     c = transfer_weights(s, frm, to)
     thetas = s.eigenvalues
     # the phases t * theta must stay finite, or every fidelity reads NaN

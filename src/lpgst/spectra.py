@@ -122,13 +122,12 @@ def path_spectrum(n: int) -> Spectrum:
     )
 
 
-def eigendecompose(lap: np.ndarray, grouping_tol: float | None = None) -> Spectrum:
+def eigendecompose(lap: np.ndarray) -> Spectrum:
     """Diagonalize a real symmetric matrix and group near-equal eigenvalues.
 
-    Eigenvalues closer than grouping_tol (default 1e-8 * (1 + spectral
-    radius)) are merged into one multiplicity group, whose eigenvalue is
-    their mean; the eigenvectors are LAPACK's, columns and signs as
-    returned. Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK
+    Eigenvalues closer than 1e-8 * (1 + spectral radius) are merged into
+    one multiplicity group, whose eigenvalue is their mean; the
+    eigenvectors are LAPACK's, columns and signs as returned. Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK
     fails to converge.
     """
     a = np.asarray(lap, dtype=np.float64)
@@ -138,12 +137,8 @@ def eigendecompose(lap: np.ndarray, grouping_tol: float | None = None) -> Spectr
         raise ValueError("matrix is not symmetric")
 
     diag, vectors = np.linalg.eigh(a)
-
-    if grouping_tol is None:
-        radius = float(np.abs(diag).max()) if diag.size else 0.0
-        grouping_tol = 1e-8 * (1.0 + radius)
-
-    groups = _group_close(diag, grouping_tol)
+    radius = float(np.abs(diag).max()) if diag.size else 0.0
+    groups = _group_close(diag, 1e-8 * (1.0 + radius))
     eigenvalues = np.array([diag[lo:hi].mean() for lo, hi in groups])
     multiplicities = np.array([hi - lo for lo, hi in groups], dtype=np.int64)
     return Spectrum(eigenvalues, multiplicities, vectors)

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from lpgst import cli, spectra
 from lpgst.cli import (MAX_CLASSIFY_WORK, _classify_work, _csv_row,
                        _json_floats, _round12, main)
-from lpgst.decision import MAX_LATTICE_N
+from lpgst.decision import MAX_LATTICE_N, classify_path
 from lpgst.graphs import laplacian
-from lpgst.pair_states import MAX_SWEEP_STEPS
+from lpgst.pair_states import MAX_SWEEP_STEPS, MAX_SWEEP_WORK
 from lpgst.spectra import MAX_SPECTRUM_N
 
 
@@ -65,6 +65,36 @@ def test_classify_output_is_byte_identical(capsys):
     _, first, _ = _run(capsys, ["classify", "--n", "2..16", "--a", "all"])
     _, second, _ = _run(capsys, ["classify", "--n", "2..16", "--a", "all"])
     assert first == second
+
+
+# sha256 of classify stdout, taken while each row still built its witness
+# vector and support partition through classify_path
+_GOLDEN_CLASSIFY = {
+    ("--n", "2..300"): "e50021da016231540bbd10dbba3adca664cd42209148596b4cce7dca5f8ff463",
+    ("--n", "2..300", "--format", "json"): "240f67360971ada271638656e99e3c0ccee8c3b73ea28bb8ac06a1cad4fb7978",
+    ("--n", "5..300", "--a", "4..9"): "10fc7dd4db4e4534575870407b6fa489e907fd11ccdc55df0b8eeb79c81b4a2e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN_CLASSIFY), ids=" ".join)
+def test_classify_stdout_matches_golden_digest(capsys, argv):
+    code, out, _ = _run(capsys, ["classify", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_CLASSIFY[argv]
+
+
+def test_classify_rows_match_classify_path(capsys):
+    code, out, _ = _run(capsys, ["classify", "--n", "2..200"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert len(rows) == sum(n - 1 for n in range(2, 201))
+    for n, a, verdict, rule in rows:
+        n, a = int(n), int(a)
+        if 2 * a == n:
+            assert (verdict, rule) == ("same-pair", "")
+            continue
+        expected = classify_path(n, a)
+        assert (verdict == "yes", rule) == (expected.has_lpgst, expected.rule)
 
 
 def test_classify_bad_range_exits_2(capsys):
@@ -341,6 +371,25 @@ def test_sweep_steps_above_limit_exits_2(capsys, steps):
     assert code == 2
     assert out == ""
     assert f"error: steps must lie in 2..{MAX_SWEEP_STEPS}" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_above_work_limit_exits_2(capsys, fmt):
+    # 1024 eigenvalues at 10M steps: each bound alone accepts it
+    code, out, err = _run(capsys, ["sweep", "--path", "1024", "--from", "1,2",
+                                   "--to", "1023,1024", "--tmax", "10",
+                                   "--steps", str(MAX_SWEEP_STEPS),
+                                   "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: steps times eigenvalues must be at most "
+                          f"{MAX_SWEEP_WORK}, got {MAX_SWEEP_STEPS} * 1024")
+    # the steps bound is checked first
+    code, out, err = _run(capsys, ["sweep", "--path", "1024", "--from", "1,2",
+                                   "--to", "1023,1024", "--tmax", "10",
+                                   "--steps", str(MAX_SWEEP_STEPS + 1)])
+    assert code == 2
+    assert err.startswith(f"error: steps must lie in 2..{MAX_SWEEP_STEPS}")
 
 
 def test_sweep_vertex_limit_both_sides(tmp_path, capsys, monkeypatch):

@@ -7,9 +7,9 @@ import pytest
 
 from lpgst import cyclotomic
 from lpgst.cyclotomic import (MAX_TABLE_N, CycloElement, IntPolynomial,
-                              _cyclotomic_array, _exact, _over_binomial,
-                              _theta_rows, cyclotomic_polynomial, euler_phi,
-                              theta_element, theta_table)
+                              _over_binomial, _theta_rows,
+                              cyclotomic_polynomial, euler_phi, theta_element,
+                              theta_table)
 from lpgst.relation_lattice import _product_is_zero
 
 # n with dense and sparse phi(2n), up to decision.MAX_LATTICE_N
@@ -64,29 +64,26 @@ def test_cyclotomic_matches_frozen_reference_every_even_m():
         assert cyclotomic_polynomial(2 * n) == _reference_cyclotomic(2 * n), n
 
 
-def test_object_dtype_builders_match_int64():
-    # the Python-int fallback runs the same code; only the dtype differs
-    for m in list(range(1, 121)) + [2 * n for n in _LARGE_N]:
-        wide = _cyclotomic_array(m, np.int64)
-        exact = _cyclotomic_array(m, object)
-        assert wide.dtype == np.int64 and exact.dtype == object
-        assert exact.tolist() == wide.tolist(), m
-    for n in list(range(2, 40)) + [315, 990]:
-        phi = _cyclotomic_array(2 * n, np.int64)
-        exact = _theta_rows(n, phi.astype(object), object)
-        assert exact.dtype == object
-        assert exact.tolist() == theta_table(n).tolist(), n
+def test_theta_rows_refuse_int64_overflow():
+    # x^j mod (x + c) is (-c)^j: for c = 2**40 the build must stop before
+    # (-c)^3 wraps
+    with pytest.raises(OverflowError, match="could leave int64"):
+        _theta_rows(4, np.array([2 ** 40, 1]))
+    # small enough, the same rows are exact
+    power = [(-3) ** j for j in range(4)]
+    assert _theta_rows(4, np.array([3, 1])).tolist() == [
+        [2 - power[k] + power[4 - k]] for k in (1, 2, 3)]
 
 
-def test_theta_rows_fall_back_to_python_ints():
-    # x^j mod (x + c) is (-c)^j: for c = 2**40 the int64 run must give up
-    # before (-c)^3 wraps, and the Python-int run is exact
-    c = 2 ** 40
-    phi = np.array([c, 1])
-    assert _theta_rows(4, phi, np.int64) is None
-    rows = _exact(_theta_rows, 4, phi)
-    power = [(-c) ** j for j in range(4)]
-    assert rows.tolist() == [[2 - power[k] + power[4 - k]] for k in (1, 2, 3)]
+@pytest.mark.slow
+def test_theta_table_builds_in_int64_for_every_accepted_n():
+    # no n the table accepts reaches the OverflowError checks
+    largest = 0
+    for n in range(2, MAX_TABLE_N + 1):
+        table = theta_table(n)
+        assert table.dtype == np.int64, n
+        largest = max(largest, int(np.abs(table).max()))
+    assert largest == 14
 
 
 def test_over_binomial_rejects_inexact_division():
@@ -117,7 +114,7 @@ class _Built(Exception):
 def test_theta_table_refuses_large_n_before_building(monkeypatch):
     def build(*args):
         raise _Built
-    monkeypatch.setattr(cyclotomic, "_exact", build)
+    monkeypatch.setattr(cyclotomic, "_cyclotomic_array", build)
     theta_table.cache_clear()
     for n in (MAX_TABLE_N + 1, 10 ** 9):
         with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):

@@ -104,6 +104,16 @@ def test_witness_relation_case_one_two():
     assert witness_relation(18, 1) == tuple(expected)
 
 
+def test_witness_relation_block_takes_first_eligible_prime():
+    # n = 15: block 3 when 3 divides n / gcd(a, n) (a = 1), else block 5
+    # (a = 3); both are valid witnesses, and the printed one is pinned
+    for a, vec in ((1, (1, -1, 0, -1, 1, 0, 1, -1, 0, -1, 1, 0, 1, -1)),
+                   (3, (1, -1, 0, 0, 0, -1, 1, 0, 0, 0, 1, -1, 0, 0))):
+        assert witness_relation(15, a) == vec
+        checks = verify_witness(15, a, vec)
+        assert checks.sum_zero and checks.relation_zero and checks.parity_odd
+
+
 def test_witness_relation_none_for_yes_instances():
     assert witness_relation(5, 1) is None
     assert witness_relation(8, 3) is None

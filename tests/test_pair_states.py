@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from lpgst import _kernels
 from lpgst.graphs import Graph, laplacian
-from lpgst.pair_states import (NotCospectralError, fidelity_sweep,
+from lpgst.pair_states import (MAX_SWEEP_STEPS, MAX_SWEEP_WORK,
+                               NotCospectralError, fidelity_sweep,
                                pair_fidelity, pair_vector,
                                path_support_partition, strong_cospectrality,
                                support, transfer_weights)
@@ -195,6 +197,30 @@ def test_fidelity_sweep_validates_arguments():
             fidelity_sweep(s, (1, 2), (2, 3), t_max, 100)
     with pytest.raises(ValueError):
         fidelity_sweep(s, (1, 2), (2, 3), 10.0, 1)
+
+
+class _GridBuilt(Exception):
+    pass
+
+
+def test_fidelity_sweep_work_limit_both_sides(monkeypatch):
+    # the full 10M steps up to 20 eigenvalues, and 100k steps at n = 1024
+    assert 20 * MAX_SWEEP_STEPS <= MAX_SWEEP_WORK
+    assert 1024 * 100_000 <= MAX_SWEEP_WORK
+
+    def grid(*args):
+        raise _GridBuilt
+    monkeypatch.setattr(_kernels, "fidelity_grid", grid)
+    largest = MAX_SWEEP_WORK // 1024
+    for n, steps in ((1024, largest), (20, MAX_SWEEP_STEPS)):
+        with pytest.raises(_GridBuilt):    # accepted: it reached the grid
+            fidelity_sweep(path_spectrum(n), (1, 2), (n - 1, n), 10.0, steps)
+    for n, steps in ((1024, largest + 1), (1024, MAX_SWEEP_STEPS),
+                     (21, MAX_SWEEP_STEPS)):
+        with pytest.raises(ValueError,
+                           match=f"steps times eigenvalues must be at most "
+                                 f"{MAX_SWEEP_WORK}, got {steps} \\* {n}"):
+            fidelity_sweep(path_spectrum(n), (1, 2), (n - 1, n), 10.0, steps)
 
 
 def test_transfer_weights_match_projector_quadratic_form():

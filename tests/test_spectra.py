@@ -178,5 +178,5 @@ def test_grouping_threshold_merges_close_values():
     s = eigendecompose(a)
     assert s.eigenvalues.shape == (2,)
     assert list(s.multiplicities) == [2, 1]
-    s_fine = eigendecompose(a, grouping_tol=1e-14)
-    assert s_fine.eigenvalues.shape == (3,)
+    s_apart = eigendecompose(np.diag([1.0, 1.0 + 1e-6, 5.0]))
+    assert s_apart.eigenvalues.shape == (3,)
