@@ -32,23 +32,46 @@ MAX_CLASSIFY_WORK = 16_000_000
 
 # 12 significant digits: every float on stdout goes through one of these
 _fmt = "{:.12g}".format
-_csv_row = "{:.12g},{:.12g}".format
+
+# Values per block of a streamed trace: the text held at once is one block's.
+TRACE_BLOCK = 65536
+
+# Below the smallest normal double a 12-digit token may carry more digits
+# than the float does, and repr writes fewer (5e-324 is 4.94065645841e-324).
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-def _json_floats(values: np.ndarray) -> str:
-    """The items of json.dumps([_round12(x) for x in values]), in one pass.
+def _json_block(values: np.ndarray) -> str:
+    """The items of json.dumps([_round12(x) for x in values]), formatted in
+    one call.
 
-    A %.12g token with a "." and no exponent is already those bytes: it has
-    at most 12 significant digits, so repr of its float repeats them. The
-    rest are bare integers, which lack ".0", and exponent forms, which repr
-    writes positionally for exponents 12..15; repr of the float fixes both.
+    %.12g writes the bytes repr writes for the rounded value, except for
+    bare integers, which lack ".0" and come only from values within 1e-11
+    (relative) of an integer; exponent forms for exponents 12..15, which
+    repr writes positionally and which need a magnitude of 1e11 or more;
+    and subnormals. Those values go through "%s" as repr(_round12(x)).
     """
-    return ", ".join([tok if "." in tok and "e" not in tok else repr(float(tok))
-                      for tok in map(_fmt, memoryview(values))])
+    items = values.tolist()
+    fmt = ["%.12g"] * len(items)
+    mag = np.abs(values)
+    special = ((np.abs(values - np.rint(values)) <= 1e-11 * mag)
+               | (mag >= 1e11) | (mag < _TINY))
+    for i in np.flatnonzero(special).tolist():
+        fmt[i] = "%s"
+        items[i] = repr(_round12(items[i]))
+    return ", ".join(fmt) % tuple(items)
+
+
+def _csv_block(times: np.ndarray, fidelities: np.ndarray) -> str:
+    """CSV rows "%.12g,%.12g" of times and fidelities, joined by newlines."""
+    pairs = np.empty(2 * times.size)
+    pairs[0::2] = times
+    pairs[1::2] = fidelities
+    return "\n".join(["%.12g,%.12g"] * times.size) % tuple(pairs.tolist())
 
 
 def _parse_span(text: str) -> range:
@@ -211,16 +234,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (OSError, GraphParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the trace is written one block at a time; no text of it is built whole
+    out = sys.stdout.write
+    blocks = range(0, trace.times.size, TRACE_BLOCK)
     if args.format == "csv":
-        lines = [
-            f"# schema_version={SCHEMA_VERSION}",
-            f"# sup_estimate={_fmt(trace.sup_estimate)}",
-            f"# argmax_time={_fmt(trace.argmax_time)}",
-            "time,fidelity",
-        ]
-        lines.extend(map(_csv_row, memoryview(trace.times),
-                         memoryview(trace.fidelities)))
-        _emit("\n".join(lines))
+        out(f"# schema_version={SCHEMA_VERSION}\n"
+            f"# sup_estimate={_fmt(trace.sup_estimate)}\n"
+            f"# argmax_time={_fmt(trace.argmax_time)}\n"
+            "time,fidelity")
+        for s in blocks:
+            out("\n")
+            out(_csv_block(trace.times[s:s + TRACE_BLOCK],
+                           trace.fidelities[s:s + TRACE_BLOCK]))
+        out("\n")
     else:
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -237,9 +263,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }
         # the trace arrays close the record: their items are spliced in
         # as text rather than handed to json.dumps as Python floats
-        _emit(f'{json.dumps(record)[:-1]}, '
-              f'"times": [{_json_floats(trace.times)}], '
-              f'"fidelities": [{_json_floats(trace.fidelities)}]}}')
+        out(json.dumps(record)[:-1])
+        for key, values in (("times", trace.times),
+                            ("fidelities", trace.fidelities)):
+            out(f', "{key}": [')
+            for s in blocks:
+                if s:
+                    out(", ")
+                out(_json_block(values[s:s + TRACE_BLOCK]))
+            out("]")
+        out("}\n")
     return 0
 
 

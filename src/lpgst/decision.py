@@ -190,19 +190,14 @@ def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
 
 
 def _residue_witness(n: int, block: int) -> tuple[int, ...]:
+    """Entries k = 1..n-1 of one period of length 2 * block, repeated."""
     period = 2 * block
-    plus = {1 % period, (block + 2) % period}
-    minus = {2 % period, (block + 1) % period}
-    vec = []
-    for k in range(1, n):
-        res = k % period
-        if res in plus:
-            vec.append(1)
-        elif res in minus:
-            vec.append(-1)
-        else:
-            vec.append(0)
-    return tuple(vec)
+    pattern = [0] * period
+    for res in (2 % period, (block + 1) % period):
+        pattern[res] = -1
+    for res in (1 % period, (block + 2) % period):    # plus wins a clash
+        pattern[res] = 1
+    return tuple((pattern * (n // period + 1))[1:n])
 
 
 def verify_witness(n: int, a: int, relation: tuple[int, ...]) -> WitnessCheck:

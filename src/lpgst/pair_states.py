@@ -21,9 +21,9 @@ MAX_SWEEP_STEPS = 10_000_000
 # after the steps bound and before the grid is built: the grid's time is
 # linear in it. It keeps the full 10M steps for up to 20 eigenvalues and
 # allows 195,312 steps on the 1024-path. The worst accepted CLI sweeps on a
-# 2-core x86-64 VM: sweep --path 1024 --steps 195312 takes 9.0 s and peaks
-# at 1.07 GB; --path 20 --steps 10000000 takes 16.5 s / 1.6 GB in CSV and
-# 21.6 s / 1.2 GB in JSON, most of it writing the trace.
+# 2-core x86-64 VM: sweep --path 1024 --steps 195312 takes 5.0 s and peaks
+# at 72 MB; --path 20 --steps 10000000 takes 12.3 s / 259 MB in CSV and
+# 12.0 s / 259 MB in JSON, 160 MB of it the two trace arrays.
 MAX_SWEEP_WORK = 200_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -141,20 +141,16 @@ def strong_cospectrality(s: Spectrum, p1: tuple[int, int],
 def path_support_partition(n: int, a: int) -> SupportPartition:
     """Exact sign partition for the mirror edge pairs {a,a+1}, {n-a,n-a+1}.
 
-    Integer arithmetic only: index k is excluded iff n divides a*k,
-    otherwise it lands in plus for odd k and minus for even k.
+    Integer arithmetic only: index k is excluded iff n divides a*k, that
+    is iff n / gcd(a, n) divides k; otherwise it lands in plus for odd k
+    and minus for even k.
     """
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must lie in 1..{n - 1}, got {a}")
-    plus, minus, excluded = set(), set(), set()
-    for k in range(n):
-        if (a * k) % n == 0:
-            excluded.add(k)
-        elif k % 2 == 1:
-            plus.add(k)
-        else:
-            minus.add(k)
-    return SupportPartition(frozenset(plus), frozenset(minus), frozenset(excluded))
+    excluded = frozenset(range(0, n, n // math.gcd(a, n)))
+    return SupportPartition(plus=frozenset(range(1, n, 2)) - excluded,
+                            minus=frozenset(range(0, n, 2)) - excluded,
+                            excluded=excluded)
 
 
 def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],

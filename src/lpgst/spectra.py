@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Largest vertex count a spectrum is built for, checked before anything
-# n x n is allocated. Memory grows as n**2, and past n ~ 100 a sweep's
-# peak is the fidelity grid's 65536 x n block: on a 2-core x86-64 VM,
-# sweep --path 1024 at 100,000 steps takes 4.9 s and peaks at 1.06 GB.
+# n x n is allocated. Memory grows as n**2: on a 2-core x86-64 VM,
+# sweep --path 1024 at 100,000 steps takes 3.0-3.9 s and peaks at 71 MB,
+# of which the fidelity grid's two 2048 x n block buffers are 34 MB.
 MAX_SPECTRUM_N = 1024
 
 

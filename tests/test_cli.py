@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpgst import cli, spectra
-from lpgst.cli import (MAX_CLASSIFY_WORK, _classify_work, _csv_row,
-                       _json_floats, _round12, main)
+from lpgst.cli import (MAX_CLASSIFY_WORK, TRACE_BLOCK, _classify_work,
+                       _csv_block, _json_block, _round12, main)
 from lpgst.decision import MAX_LATTICE_N, classify_path
 from lpgst.graphs import laplacian
-from lpgst.pair_states import MAX_SWEEP_STEPS, MAX_SWEEP_WORK
-from lpgst.spectra import MAX_SPECTRUM_N
+from lpgst.pair_states import MAX_SWEEP_STEPS, MAX_SWEEP_WORK, fidelity_sweep
+from lpgst.spectra import MAX_SPECTRUM_N, path_spectrum
 
 
 def _run(capsys, argv):
@@ -320,9 +323,72 @@ _finite_doubles = st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
                 min_size=1, max_size=64))
 def test_trace_formatters_match_per_float_formatting(xs):
     values = np.array(xs)
-    assert f"[{_json_floats(values)}]" == json.dumps([_round12(x) for x in xs])
-    rows = list(map(_csv_row, memoryview(values), memoryview(values[::-1])))
+    assert f"[{_json_block(values)}]" == json.dumps([_round12(x) for x in xs])
+    rows = _csv_block(values, values[::-1]).split("\n")
     assert rows == [f"{t:.12g},{f:.12g}" for t, f in zip(values, values[::-1])]
+
+
+def _one_shot_sweep_stdout(trace, n, frm, to, tmax, steps, fmt):
+    """sweep --path stdout as the whole text was built before the trace was
+    streamed in blocks: the reference for the block writer."""
+    fmt12 = "{:.12g}".format
+    if fmt == "csv":
+        lines = ["# schema_version=1",
+                 f"# sup_estimate={fmt12(trace.sup_estimate)}",
+                 f"# argmax_time={fmt12(trace.argmax_time)}",
+                 "time,fidelity"]
+        lines.extend(map("{:.12g},{:.12g}".format, memoryview(trace.times),
+                         memoryview(trace.fidelities)))
+        return "\n".join(lines) + "\n"
+
+    def items(values):
+        return ", ".join([tok if "." in tok and "e" not in tok else repr(float(tok))
+                          for tok in map(fmt12, memoryview(values))])
+
+    record = {"schema_version": "1", "command": "sweep",
+              "inputs": {"source": f"path:{n}", "from": list(frm), "to": list(to),
+                         "t_max": float(fmt12(float(tmax))), "steps": steps},
+              "sup_estimate": float(fmt12(trace.sup_estimate)),
+              "argmax_time": float(fmt12(trace.argmax_time))}
+    return (f'{json.dumps(record)[:-1]}, "times": [{items(trace.times)}], '
+            f'"fidelities": [{items(trace.fidelities)}]}}\n')
+
+
+def _boundary_tmax(steps):
+    """A --tmax for the 3-path sweep 1,2 -> 2,3 that puts the transfer time
+    pi/2 halfway between the last two grid points, so the refined point is
+    inserted at index steps - 1."""
+    return repr(math.pi / 2 * (steps - 1) / (steps - 1.5))
+
+
+# steps around the trace block: the trace is one value longer than the grid
+# when the refined point is inserted; the last two cases insert it as the
+# last row of the first block and as the first row of the second
+_BLOCK_SWEEPS = [(15, "317.123", steps) for steps in
+                 (TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 1)]
+_BLOCK_SWEEPS += [(3, _boundary_tmax(steps), steps)
+                  for steps in (TRACE_BLOCK, TRACE_BLOCK + 1)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n,tmax,steps", _BLOCK_SWEEPS,
+                         ids=[f"{n}-{steps}" for n, _, steps in _BLOCK_SWEEPS])
+def test_block_streamed_sweep_matches_one_shot_text(capsys, n, tmax, steps, fmt):
+    frm, to = (1, 2), (n - 1, n)
+    code, out, _ = _run(capsys, ["sweep", "--path", str(n),
+                                 "--from", "1,2", "--to", f"{n - 1},{n}",
+                                 "--tmax", tmax, "--steps", str(steps),
+                                 "--format", fmt])
+    assert code == 0
+    trace = fidelity_sweep(path_spectrum(n), frm, to, float(tmax), steps)
+    want = _one_shot_sweep_stdout(trace, n, frm, to, tmax, steps, fmt)
+    if out != want:     # pytest's own diff of megabytes of text takes minutes
+        i = len(os.path.commonprefix([out, want]))
+        pytest.fail(f"stdout differs at offset {i} of {len(want)}: "
+                    f"{out[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+    if n == 3:
+        assert trace.times.size == steps + 1
+        assert trace.times[steps - 1] == trace.argmax_time
 
 
 def test_sweep_missing_file_exits_2(capsys):
@@ -482,3 +548,45 @@ def test_json_records_match_documented_schemas(capsys):
     _, out, _ = _run(capsys, ["sweep", "--path", "5", "--from", "1,2",
                               "--to", "4,5", "--tmax", "20", "--steps", "500"])
     jsonschema.validate(json.loads(out), schemas["sweep"])
+
+
+# The child is started from a small Python process rather than from
+# pytest: Linux carries the RSS high-water mark of a process across fork
+# and exec, so a sweep started from the test process would report at
+# least the test process's own peak.
+_PEAK_SCRIPT = """
+import hashlib, resource, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "lpgst.cli", *sys.argv[1:]],
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+digest = hashlib.sha256()
+for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
+    digest.update(chunk)
+code = child.wait()
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(code, peak_mb, digest.hexdigest())
+"""
+
+# stdout digests taken before the grid and the trace writer were blocked,
+# the same with one BLAS thread and with two
+_LARGE_SWEEPS = [
+    (["--path", "1024", "--from", "100,101", "--to", "924,925",
+      "--tmax", "50", "--steps", "100000"], 150,
+     "6a9ef0bb9f7739d8a943dc4027bf63a8968f8161c9a15c767f1a35400bebb7da"),
+    (["--path", "20", "--from", "3,4", "--to", "17,18", "--tmax", "100",
+      "--steps", "10000000", "--format", "csv"], 400,
+     "7c86089b8a91aead210505ce7998eb62953a5e8fdf4feef1c6e3717ef77dff89"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv,limit_mb,digest", _LARGE_SWEEPS,
+                         ids=["path1024-json", "path20-10M-csv"])
+def test_large_sweep_peak_memory_and_bytes(argv, limit_mb, digest):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, "sweep", *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    code, peak_mb, sha = done.stdout.split()
+    assert code == "0"
+    assert float(peak_mb) < limit_mb
+    assert sha == digest

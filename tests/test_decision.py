@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpgst import decision
 from lpgst.decision import (RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
                             RULE_POWER_OF_TWO, RULE_TWO_POWER_TIMES_PRIME,
                             SamePairError, alternating_cosine_residual,
@@ -287,3 +288,44 @@ def test_kernel_basis_mirror_symmetry_for_two_power_times_prime():
                 for k in range(2, n - 1, 2):
                     if k in pos:
                         assert vec[pos[k]] == vec[pos[n - k]], (n, a, vec, k)
+
+
+def _loop_support_partition(n, a):
+    """path_support_partition as a loop over k, as it was first written."""
+    plus, minus, excluded = set(), set(), set()
+    for k in range(n):
+        if (a * k) % n == 0:
+            excluded.add(k)
+        elif k % 2 == 1:
+            plus.add(k)
+        else:
+            minus.add(k)
+    return plus, minus, excluded
+
+
+def _loop_residue_witness(n, block):
+    """decision._residue_witness as a loop over k, as it was first written."""
+    period = 2 * block
+    plus = {1 % period, (block + 2) % period}
+    minus = {2 % period, (block + 1) % period}
+    vec = []
+    for k in range(1, n):
+        res = k % period
+        if res in plus:
+            vec.append(1)
+        elif res in minus:
+            vec.append(-1)
+        else:
+            vec.append(0)
+    return tuple(vec)
+
+
+def test_partition_and_witness_match_per_k_loops(monkeypatch):
+    instances = [(n, a) for n in range(2, 201) for a in range(1, n)]
+    for n, a in instances:
+        part = path_support_partition(n, a)
+        assert (part.plus, part.minus, part.excluded) == _loop_support_partition(n, a)
+    witnesses = [witness_relation(n, a) for n, a in instances if 2 * a != n]
+    monkeypatch.setattr(decision, "_residue_witness", _loop_residue_witness)
+    assert witnesses == [witness_relation(n, a) for n, a in instances if 2 * a != n]
+    assert sum(w is not None for w in witnesses) > 10_000
