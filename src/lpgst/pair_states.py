@@ -19,12 +19,12 @@ MAX_SWEEP_STEPS = 10_000_000
 
 # Largest steps * (distinct eigenvalues) fidelity_sweep accepts, checked
 # after the steps bound and before the grid is built: the grid's time is
-# linear in it. It keeps the full 10M steps for up to 20 eigenvalues and
-# allows 195,312 steps on the 1024-path. The worst accepted CLI sweeps on a
-# 2-core x86-64 VM: sweep --path 1024 --steps 195312 takes 5.0 s and peaks
-# at 72 MB; --path 20 --steps 10000000 takes 12.3 s / 259 MB in CSV and
-# 12.0 s / 259 MB in JSON, 160 MB of it the two trace arrays.
-MAX_SWEEP_WORK = 200_000_000
+# linear in it. It keeps the full 10M steps for up to 100 eigenvalues and
+# allows 976,562 steps on the 1024-path. The worst accepted CLI sweeps on a
+# 2-core x86-64 VM: sweep --path 1024 --steps 976562 takes 1.7 s and peaks
+# at 68 MB in CSV and in JSON; --path 100 --steps 10000000 takes 5.4 s /
+# 259 MB in CSV and in JSON, 160 MB of it the two trace arrays.
+MAX_SWEEP_WORK = 1_000_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -83,17 +83,13 @@ def pair_vector(n: int, pair: tuple[int, int]) -> np.ndarray:
 def transfer_weights(s: Spectrum, frm: tuple[int, int], to: tuple[int, int]) -> np.ndarray:
     """Per-eigenvalue weights (e_a-e_b)^T F_r (e_c-e_d) of the fidelity sum.
 
-    The four nonzero terms u_i F_r[i, j] v_j are added in increasing
-    (i, j) order, starting from zero, which rounds as the full sum over
-    the projectors does.
+    Summed per group over the eigen-coordinates (e_a-e_b)^T V, each of them
+    one exact difference of two eigenvector entries, so the weights do not
+    depend on a product's summation order or thread count.
     """
-    u = pair_vector(s.n, frm)
-    v = pair_vector(s.n, to)
-    pairs = [(i, j) for i in np.flatnonzero(u) for j in np.flatnonzero(v)]
-    weights = np.zeros(s.eigenvalues.size)
-    for (i, j), entries in zip(pairs, s.projector_entries(pairs)):
-        weights += u[i] * v[j] * entries
-    return weights
+    u = pair_vector(s.n, frm) @ s.eigenvectors
+    v = pair_vector(s.n, to) @ s.eigenvectors
+    return np.add.reduceat(u * v, s.group_starts)
 
 
 def pair_fidelity(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],

@@ -22,6 +22,8 @@ from lpgst.graphs import laplacian
 from lpgst.pair_states import MAX_SWEEP_STEPS, MAX_SWEEP_WORK, fidelity_sweep
 from lpgst.spectra import MAX_SPECTRUM_N, path_spectrum
 
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -237,26 +239,27 @@ def test_sweep_csv_format(capsys):
     assert len(lines) >= 4 + 50
 
 
-# sha256 of sweep stdout, taken before the trace writer was vectorized:
-# an ordinary window, times in 1e12..1e16 (where %g and repr disagree) and
-# fidelities in exponent form. The fidelities carry the last bits of the
-# platform's libm and BLAS, so another platform may need fresh digests.
+# sha256 of sweep stdout, taken when the grid became one table of phase
+# factors, the same with one BLAS thread and with two: an ordinary window,
+# times in 1e12..1e16 (where %g and repr disagree) and fidelities in
+# exponent form. The fidelities carry the last bits of the platform's
+# libm, so another platform may need fresh digests.
 _GOLDEN_GRAPH = "# five-vertex path with the chord 2-4\nn 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 2 4\n"
 _GOLDEN_SOURCES = {"path": ["--path", "15", "--from", "1,2", "--to", "14,15"],
                    "graph": ["--graph", "g.txt", "--from", "1,2", "--to", "4,5"]}
 _GOLDEN_SWEEPS = {
-    ("path", "317.123", "5000", "json"): "85b7e2b17899c8e0f81c3b2d554a90d274b594be2c0db2c976ecd83aba7db447",
-    ("path", "317.123", "5000", "csv"): "ac001c493cb08c835267959d36912bc3b6507c39cb01826d301dab731b52a796",
-    ("path", "5e12", "1000", "json"): "a1d8509dc2e84f5678f1fdad93f91cc1ab28b0c97b00d055e96602cef0ffe1ed",
-    ("path", "5e12", "1000", "csv"): "fbe723eaf7f5ae93910f111451f20094ee5c28eb9ebad737f8c24cabf5e3341c",
-    ("path", "1e-5", "1000", "json"): "ef297f879af6a014b49ba29dadd0b7ae2a185a7fd16768cc8c3ab1fcee0e0677",
-    ("path", "1e-5", "1000", "csv"): "4d443d5e39e202728fd2eee6284aba69a44ddaaebee3d24fdcde7eace056efd2",
-    ("graph", "317.123", "5000", "json"): "3960c72c1958d6c841f72e767f96c889a69e0f23f30a0686aa8f7c43aa207c73",
-    ("graph", "317.123", "5000", "csv"): "3f032478fb9e99cece9d7a31cff481361eee7b9b6098aaa0c642d34c65be5be9",
-    ("graph", "5e12", "1000", "json"): "a7fd21c3611dbb55e21fd9460609fc93719cf0573e9763af5bfa0515f8a591e9",
-    ("graph", "5e12", "1000", "csv"): "139d56bff5e7f7bfa879c724795ce8f85aa52c4d9b47cb7fdc8f7aa8e0fe544c",
-    ("graph", "1e-5", "1000", "json"): "9a02981b4deb8ebb6c3ae9ced5b588f4c572351c0cda3660565dc590e8f99cb7",
-    ("graph", "1e-5", "1000", "csv"): "5f51d32335b75269179828b2b51df3d74d43bcac51b23aff4645c397cf8dda95",
+    ("path", "317.123", "5000", "json"): "fb2d3328114f444380319221f063db7f6bce74869dd7d9a5c0a1cc0e0629c3e9",
+    ("path", "317.123", "5000", "csv"): "b7b208753e64d0220a2cfbc7306f5b5a995ea3ef2fcfc9390a800eac46f32163",
+    ("path", "5e12", "1000", "json"): "55c4f45da0244f684b77dbb6fcf84b66867c2b3e79cb2555e5dc665ea5920192",
+    ("path", "5e12", "1000", "csv"): "c2c58c6426b90b2c3691d6891cea1cdd18a1a65764e5987f73d14ee848bf3a6e",
+    ("path", "1e-5", "1000", "json"): "d77a42d55c6665f57e441f3e009ed0af879fb50f8832a4d36d064189ac2240ab",
+    ("path", "1e-5", "1000", "csv"): "069ed2d3d6a7cf262291c3d66f791b1b85cb3f876db03fe17acc0e9de0035c57",
+    ("graph", "317.123", "5000", "json"): "214755f005b985087fa5c5ab8e99cd58f702b2d0d1921dab8f62c9a48d1cfc7a",
+    ("graph", "317.123", "5000", "csv"): "42e870470ea8623342e4f853847c49acb076e762b75121c01a2ccac82fde777a",
+    ("graph", "5e12", "1000", "json"): "b33361635d0a79edd6dbd9ffbb1331e963c4394d6a9f1c46c006efeb94be2c9c",
+    ("graph", "5e12", "1000", "csv"): "e7e36df6eefc787d3d35f7a2ef1fb8cbcc38ffcdfc2815ce5917beb53f29a142",
+    ("graph", "1e-5", "1000", "json"): "6780cac21fbb0a03050ecbfcf6aa71ad73dcd465e1c879a819cec07f2a58664a",
+    ("graph", "1e-5", "1000", "csv"): "823c7a2f28f7ce9b63b311a45b9d937160624e12eb43aebb55b6a689b76ae3e6",
 }
 
 
@@ -272,11 +275,9 @@ def test_sweep_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys, case)
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_SWEEPS[case]
 
 
-# The same digests for two graphs with repeated Laplacian eigenvalues,
-# taken while the spectrum still stored its projectors. Each pair has
-# weight on a repeated eigenvalue, which the simple-spectrum digests
-# above never reach; summing that eigenspace's column products in another
-# order changes these bytes.
+# The same digests for two graphs with repeated Laplacian eigenvalues.
+# Each pair has weight on a repeated eigenvalue, which the simple-spectrum
+# digests above never reach.
 _REPEATED_GRAPHS = {
     "C8": ("n 8\n" + "".join(f"e {k} {k + 1}\n" for k in range(1, 8))
            + "e 1 8\n", ["--from", "1,2", "--to", "5,6"]),
@@ -284,10 +285,10 @@ _REPEATED_GRAPHS = {
              ["--from", "2,3", "--to", "4,5"]),
 }
 _REPEATED_SWEEPS = {
-    ("C8", "json"): "915dab7697745b2e3da0717d270750f7bcd23e9b7b98aa1e93def00f929c4d95",
-    ("C8", "csv"): "ab2343384269bce466e76ccf7270391c70f96b2184b1f26c41185e7ad8f9cb02",
-    ("K1,6", "json"): "ba6b7435496e9e84b50c62dba8e37cc77d44cd6effc1377f9af977612ada4125",
-    ("K1,6", "csv"): "39656fb53c898ad0dd78cd1a80a6a3aa17a5a3d1cf359deac84f9b05b4796523",
+    ("C8", "json"): "71f410c86b19acc373db3fdb4d6aefe50dd264669e00bb0f898ed8e82d5bfaaa",
+    ("C8", "csv"): "c43e1142d1bb87062ac82b8b60f0f769d913ff5fd6df6d8bee24db5ccd3d3afb",
+    ("K1,6", "json"): "1407fac9a4f0503a83a9f14529bdd0260389b2f5f97f9a2ec6a584eafe6e861d",
+    ("K1,6", "csv"): "e4ac423cb2d4369367e01c875ed9f8e8cdc54d40cf23ba718e6e3ba7e2636d10",
 }
 
 
@@ -303,6 +304,23 @@ def test_repeated_eigenvalue_sweep_matches_golden_digest(tmp_path, monkeypatch,
                                  "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _REPEATED_SWEEPS[case]
+
+
+def test_path_sweep_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a matrix-vector product between threads at a row that
+    # depends on the row count, and rows next to the split round otherwise;
+    # this sweep's bytes differed so while the grid ran through BLAS
+    argv = [sys.executable, "-m", "lpgst.cli", "sweep", "--path", "300",
+            "--from", "1,2", "--to", "299,300", "--tmax", "50",
+            "--steps", "10001"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outputs.append(subprocess.run(argv, env=env, capture_output=True,
+                                      check=True).stdout)
+    assert outputs[0].startswith(b'{"schema_version": "1"')
+    assert outputs[0] == outputs[1]
 
 
 def _double(bits: int) -> float:
@@ -566,15 +584,15 @@ peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(code, peak_mb, digest.hexdigest())
 """
 
-# stdout digests taken before the grid and the trace writer were blocked,
+# stdout digests taken when the grid became one table of phase factors,
 # the same with one BLAS thread and with two
 _LARGE_SWEEPS = [
     (["--path", "1024", "--from", "100,101", "--to", "924,925",
       "--tmax", "50", "--steps", "100000"], 150,
-     "6a9ef0bb9f7739d8a943dc4027bf63a8968f8161c9a15c767f1a35400bebb7da"),
+     "ccb26fc342b754e90d1be4710d62526e28d2988384d0a9c13f0923d3df9810f9"),
     (["--path", "20", "--from", "3,4", "--to", "17,18", "--tmax", "100",
       "--steps", "10000000", "--format", "csv"], 400,
-     "7c86089b8a91aead210505ce7998eb62953a5e8fdf4feef1c6e3717ef77dff89"),
+     "7d86016fff0dd38aa315872162e43616f0d285092bc967e8fa5c298a8a6d09f4"),
 ]
 
 
@@ -582,8 +600,7 @@ _LARGE_SWEEPS = [
 @pytest.mark.parametrize("argv,limit_mb,digest", _LARGE_SWEEPS,
                          ids=["path1024-json", "path20-10M-csv"])
 def test_large_sweep_peak_memory_and_bytes(argv, limit_mb, digest):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=_SRC)
     done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, "sweep", *argv],
                           env=env, capture_output=True, text=True, check=True)
     code, peak_mb, sha = done.stdout.split()

@@ -1,40 +1,40 @@
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from lpgst import _kernels
-
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+from lpgst.pair_states import transfer_weights
+from lpgst.spectra import path_spectrum
 
 
 def test_fidelity_grid_numpy_matches_direct_formula():
     rng = np.random.default_rng(51)
     thetas = rng.uniform(0.0, 4.0, size=6)
     weights = rng.normal(size=6)
-    times = rng.uniform(0.0, 100.0, size=500)
-    got = _kernels.fidelity_grid(thetas, weights, np.sort(times))
-    for t, f in zip(np.sort(times), got):
+    times = np.linspace(0.0, 100.0, 2500)
+    got = _kernels.fidelity_grid(thetas, weights, times)
+    for t, f in zip(times, got):
         amp = 0.5 * np.sum(weights * np.exp(-1j * t * thetas))
         assert f == pytest.approx(abs(amp) ** 2, abs=1e-12)
 
 
-# Run in a child with one BLAS thread: with more, OpenBLAS splits a
-# matrix-vector product between threads at a row that depends on the
-# product's row count, and the rows next to the split round differently,
-# so a grid's last bits already depended on the thread count.
-_BIT_IDENTITY_SCRIPT = """
-import json, sys
-import numpy as np
-from lpgst import _kernels
+def _rounding_bound(thetas, weights, t_max):
+    """Largest fidelity error a few roundings of each phase th_r * t allow.
+
+    Each kernel rounds every phase; the blocked grid also moves each time
+    by up to about one ulp of t, as times[s] + j*dt is not times[s + j].
+    Both come to under 4 ulps of th_max * t_max per term, and a phase
+    error d moves the fidelity by at most (sum |w|)^2 * d / 2.
+    """
+    ulp = np.spacing(float(np.abs(thetas).max()) * t_max)
+    return 0.5 * np.abs(weights).sum() ** 2 * (4 * ulp + thetas.size * 2.0 ** -52)
+
 
 def chunked_fidelity_grid(eigenvalues, weights, times):
-    # fidelity_grid as it was: whole 65536-row chunks of temporaries
+    # Frozen reference: fidelity_grid as it was, whole 65536-row chunks of
+    # cos and sin temporaries, one rounded phase times[i] * th_r per entry.
     out = np.empty(times.shape[0])
     chunk = 65536
     for s in range(0, times.shape[0], chunk):
@@ -44,49 +44,45 @@ def chunked_fidelity_grid(eigenvalues, weights, times):
         out[s:s + chunk] = 0.25 * (re * re + im * im)
     return out
 
-rng = np.random.default_rng(2049)
-differ = []
-for m, steps in json.loads(sys.argv[1]):
-    thetas = np.sort(rng.uniform(0.0, 4.0, size=m))
-    weights = rng.normal(size=m)
-    times = np.linspace(0.0, 317.123, steps)
+
+def test_fidelity_grid_matches_frozen_chunked_kernel():
+    # weights scaled to sum |w| = 2, as a pair's are, so fidelities lie in
+    # [0, 1] and the bound reads as on a sweep
+    rng = np.random.default_rng(2049)
+    worst = {}
+    for m in (1, 2, 3, 7, 15, 64):
+        thetas = np.sort(rng.uniform(0.0, 4.0, size=m))
+        weights = rng.normal(size=m)
+        weights *= 2.0 / np.abs(weights).sum()
+        for t_max in (317.123, 5000.0):
+            for steps in (1023, 1024, 1025, 2049, 65537):
+                times = np.linspace(0.0, t_max, steps)
+                diff = np.abs(_kernels.fidelity_grid(thetas, weights, times)
+                              - chunked_fidelity_grid(thetas, weights, times))
+                bound = _rounding_bound(thetas, weights, t_max)
+                assert diff.max() <= bound, (m, t_max, steps)
+                worst[t_max] = max(worst.get(t_max, 0.0), diff.max())
+    assert worst[317.123] < 1e-12 and worst[5000.0] < 1e-11
+
+
+@pytest.mark.parametrize("n,t_max", [(15, 317.0), (96, 5000.0)])
+def test_fidelity_grid_matches_mpmath_oracle(n, t_max):
+    s = path_spectrum(n)
+    thetas, weights = s.eigenvalues, transfer_weights(s, (1, 2), (n - 1, n))
+    times = np.linspace(0.0, t_max, 100_001)
     got = _kernels.fidelity_grid(thetas, weights, times)
-    want = chunked_fidelity_grid(thetas, weights, times)
-    if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
-        differ.append([m, steps])
-print(json.dumps(differ))
-"""
-
-_GRID_STEPS = (2047, 2048, 2049, 65537, 100001)
-_GRID_CASES = [(m, steps) for m in (1, 2, 3, 7, 64, 1023) for steps in _GRID_STEPS]
-# the 65536 x 1023 reference chunks take 1 GB: those cases run with -m slow
-_LARGE_GRID_CASES = [(m, steps) for m, steps in _GRID_CASES if m * min(steps, 65536) > 2 ** 23]
-
-
-def _grid_bits_differ(cases) -> list:
-    env = dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", _BIT_IDENTITY_SCRIPT,
-                           json.dumps(cases)],
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
-
-
-def test_fidelity_grid_blocks_keep_chunked_bits():
-    cases = [c for c in _GRID_CASES if c not in _LARGE_GRID_CASES]
-    assert len(cases) == 28
-    assert _grid_bits_differ(cases) == []
-
-
-@pytest.mark.slow
-def test_fidelity_grid_blocks_keep_chunked_bits_large():
-    assert _grid_bits_differ(_LARGE_GRID_CASES) == []
-
-
-def test_fidelity_grid_block_rows_is_a_power_of_two():
-    rows = _kernels.BLOCK_ROWS
-    assert rows >= 64 and rows & (rows - 1) == 0
-    assert _kernels.CHUNK_ROWS % rows == 0
+    picks = np.random.default_rng(n).choice(times.size, 60, replace=False)
+    with mpmath.workdps(40):
+        # the same doubles, each phase and sum carried to 40 digits
+        terms = [(mpmath.mpf(float(w)), mpmath.mpf(float(th)))
+                 for w, th in zip(weights, thetas)]
+        want = []
+        for t in times[picks]:
+            amp = mpmath.fsum(w * mpmath.expj(-th * mpmath.mpf(float(t)))
+                              for w, th in terms)
+            want.append(float(abs(amp) ** 2 / 4))
+    err = np.abs(got[picks] - want)
+    assert err.max() <= _rounding_bound(thetas, weights, t_max)
 
 
 def test_fidelity_grid_memory_is_output_plus_two_blocks():
@@ -101,5 +97,7 @@ def test_fidelity_grid_memory_is_output_plus_two_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    blocks = 2 * _kernels.BLOCK_ROWS * m * 8
+    # the bound the earlier kernel's two 2048 x m float buffers met; the
+    # BLOCK_ROWS x m complex table takes half of it
+    blocks = 2 * 2048 * m * 8
     assert out.nbytes <= peak <= out.nbytes + blocks + 2 ** 19
