@@ -65,6 +65,23 @@ def test_fidelity_grid_matches_frozen_chunked_kernel():
     assert worst[317.123] < 1e-12 and worst[5000.0] < 1e-11
 
 
+def test_fidelity_grid_agrees_across_block_rows(monkeypatch):
+    # how the grid is cut into blocks moves no fidelity past the rounding
+    # bound: block starts, lone last rows and one-block grids alike
+    rng = np.random.default_rng(1024)
+    thetas = np.sort(rng.uniform(0.0, 4.0, size=15))
+    weights = rng.normal(size=15)
+    weights *= 2.0 / np.abs(weights).sum()
+    bound = _rounding_bound(thetas, weights, 5000.0)
+    for rows in (1, 2, 63, 64, 1000, 1024, 4096):
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", rows)
+        for steps in (2, 1025, 2049, 4097):
+            times = np.linspace(0.0, 5000.0, steps)
+            diff = np.abs(_kernels.fidelity_grid(thetas, weights, times)
+                          - chunked_fidelity_grid(thetas, weights, times))
+            assert diff.max() <= bound, (rows, steps)
+
+
 @pytest.mark.parametrize("n,t_max", [(15, 317.0), (96, 5000.0)])
 def test_fidelity_grid_matches_mpmath_oracle(n, t_max):
     s = path_spectrum(n)
