@@ -199,9 +199,10 @@ class CycloElement:
         return IntPolynomial(self.coefficients).evaluate(z)
 
 
-# One table is up to n * n * 8 bytes and its build holds two of them:
-# n = 2048 takes 32 MiB, peaks 63 MiB above the process and builds in
-# 24-55 ms (2-core x86-64 VM); n = 4096 would take 128 MiB and peak 255 MiB.
+# The exact route's one size bound. A table is at most n * n * 8 bytes and
+# its build holds two: 32 MiB at n = 2048, peaking 63 MiB above the process.
+# The lattice route's slowest cases below the bound, decide --n 2030..2048
+# --a 1, take 1.0-2.0 s and peak at 263-286 MB end to end (2-core x86-64 VM).
 MAX_TABLE_N = 2048
 
 

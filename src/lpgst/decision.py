@@ -14,15 +14,10 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cyclotomic import _prime_factors, theta_table
+from .cyclotomic import MAX_TABLE_N, _prime_factors, theta_table
 from .pair_states import path_support_partition
 from .relation_lattice import (_product_is_zero, build_relation_system,
                                integer_kernel, parity_holds)
-
-# Largest n the lattice route accepts, checked before any work: its cost
-# grows about as n**3, and the full-support paths near the limit (n = 997,
-# n = 1024) take 6-7 s each on a 2-core x86-64 VM.
-MAX_LATTICE_N = 1024
 
 RULE_POWER_OF_TWO = "power-of-two"
 RULE_ODD_PRIME = "odd-prime"
@@ -143,12 +138,12 @@ def decide_path_lpgst(n: int, a: int) -> Verdict:
     to the parity of the minus functional on the integer kernel of the
     support relation system. A failing parity check yields a certificate
     vector expanded back to indices k = 1..n-1. Refuses n above
-    MAX_LATTICE_N.
+    MAX_TABLE_N, the eigenvalue table's bound, before any work.
     """
     _validate_instance(n, a)
-    if n > MAX_LATTICE_N:
+    if n > MAX_TABLE_N:
         raise ValueError(
-            f"n must be at most {MAX_LATTICE_N} for the lattice route, got {n}")
+            f"n must be at most {MAX_TABLE_N} for the lattice route, got {n}")
     frm, to = _mirror_pairs(n, a)
     part = path_support_partition(n, a)
     columns, sigma, index_map = build_relation_system(n, part)
@@ -175,12 +170,16 @@ def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
     divides a (distinct pairs then force t >= 2); otherwise it is 2^t * p
     for the first odd prime p of r dividing n / gcd(a, n).
     Alternating-cosine cancellation makes the eigenvalue sum vanish while
-    exactly one minus-position survives.
+    exactly one minus-position survives. A no-instance with n above
+    MAX_TABLE_N is refused before the O(n) vector is built.
     """
     _validate_instance(n, a)
     cls = path_class(n, a)
     if cls.has_lpgst:
         return None
+    if n > MAX_TABLE_N:       # verify_witness could not re-verify the vector
+        raise ValueError(
+            f"n must be at most {MAX_TABLE_N} for a witness, got {n}")
     block = 2 ** cls.two_power_exponent
     if cls.kind == RULE_ODD_COMPOSITE:
         reduced = n // math.gcd(a, n)

@@ -7,11 +7,11 @@ zero-sum constraint. Its integer kernel is computed by unimodular column
 reduction (Cohen, A Course in Computational Algebraic Number Theory,
 2.4), so the returned basis generates every integer solution.
 
-The reduction and the re-verification run as integer array operations:
-numpy int64 while a bound rules out overflow (elimination entries below
-2**31; for the check, bits of the largest column entry, of the largest
-basis entry and of the column count summing below 63), and the same code
-on Python ints in an object array otherwise. Results are exact either way.
+The reduction runs on integer arrays, sparsest rows first: int64 while
+every entry stays below 2**31, Python ints otherwise. The re-verification
+is one float64 product while bits(max column entry) + bits(max basis
+entry) + bits(column count) < 53, so every partial sum is an integer below
+2**53 and exact in any summation order; Python ints otherwise.
 """
 from __future__ import annotations
 
@@ -56,8 +56,8 @@ def integer_kernel(columns: list[tuple[int, ...]],
     """Basis of {v integer : sum_j v_j * columns[j] = 0}, exactly.
 
     Runs gcd-style column elimination row by row on an integer array,
-    always reducing against the smallest-magnitude entry with
-    nearest-integer quotients to keep intermediates small. The
+    sparsest rows first, always reducing against the smallest-magnitude
+    entry with nearest-integer quotients to keep intermediates small. The
     accumulated transform is unimodular, so the zero columns at the end
     span (and saturate) the kernel. The elimination runs in int64 while
     every entry stays below 2**31 and is redone on Python ints (an object
@@ -110,7 +110,8 @@ def _kernel_basis(mat: np.ndarray, dtype) -> tuple[tuple[int, ...], ...] | None:
     work[:, rows:] = np.eye(d, dtype=dtype)
     live = np.ones(d, dtype=bool)
 
-    for row in range(rows):
+    # sparsest first: the dense rows (constant, zero sum) meet few live columns
+    for row in np.argsort(np.count_nonzero(mat, axis=0), kind="stable"):
         active = np.flatnonzero(live & (work[:, row] != 0))
         while active.size > 1:
             entries = work[active, row]
@@ -140,10 +141,10 @@ def _kernel_basis(mat: np.ndarray, dtype) -> tuple[tuple[int, ...], ...] | None:
 def _product_is_zero(columns, basis) -> bool:
     """Whether every basis vector combines the columns to zero, exactly.
 
-    One matrix product, in int64 only when bits(max|column entry|) +
-    bits(max|basis entry|) + bits(number of columns) < 63 rules out
-    overflow (each of the d terms is below 2**(bits + bits)); on Python
-    ints otherwise.
+    One matrix product, in float64 only when bits(max|column entry|) +
+    bits(max|basis entry|) + bits(number of columns) < 53, so that each of
+    the d terms and every partial sum is an integer below 2**53, which
+    float64 holds exactly in any order; on Python ints otherwise.
     """
     cols = _exact_array(columns)
     vecs = _exact_array(basis)
@@ -151,9 +152,8 @@ def _product_is_zero(columns, basis) -> bool:
         return True
     bits = (_max_abs(cols).bit_length() + _max_abs(vecs).bit_length()
             + len(cols).bit_length())
-    if bits >= 63:
-        cols, vecs = cols.astype(object), vecs.astype(object)
-    return not (vecs @ cols).any()
+    dtype = np.float64 if bits < 53 else object
+    return not (vecs.astype(dtype) @ cols.astype(dtype)).any()
 
 
 def _exact_array(rows) -> np.ndarray:

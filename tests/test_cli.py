@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from lpgst import cli, spectra
 from lpgst.cli import (MAX_CLASSIFY_WORK, TRACE_BLOCK, _classify_work,
                        _csv_block, _json_block, _round12, main)
-from lpgst.decision import MAX_LATTICE_N, classify_path
+from lpgst.cyclotomic import MAX_TABLE_N
+from lpgst.decision import classify_path, verify_witness
 from lpgst.graphs import laplacian
 from lpgst.pair_states import MAX_SWEEP_STEPS, MAX_SWEEP_WORK, fidelity_sweep
 from lpgst.spectra import MAX_SPECTRUM_N, path_spectrum
@@ -194,12 +195,47 @@ def test_decide_same_pair_exits_2(capsys):
     assert "coincide" in err
 
 
-@pytest.mark.parametrize("n", [MAX_LATTICE_N + 1, 10 ** 9])
+@pytest.mark.parametrize("n", [MAX_TABLE_N + 1, 10 ** 9])
 def test_decide_n_above_limit_exits_2(capsys, n):
     code, out, err = _run(capsys, ["decide", "--n", str(n), "--a", "1"])
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: n must be at most {MAX_LATTICE_N}")
+    assert err.startswith(f"error: n must be at most {MAX_TABLE_N}")
+
+
+# sha256 of decide --certificate stdout. (15,4), (105,2) and (105,52) were
+# re-pinned once when the kernel began clearing its sparsest rows first,
+# which picks another odd-parity kernel vector; the other eleven kept the
+# bytes they had under the natural row order.
+_GOLDEN_DECIDE = {
+    (9, 1): "9a8779e4cd38768f483d45bd0a160a5a824223f9b89abf6826583bac0aa7d1de",
+    (15, 4): "96d76479614fcf9661b4cf656ab0b43520ba7c3c7170dcad67549fa90b69b9d4",
+    (24, 4): "f691ad02ceaa9dae0ddb92b9dbc942f7c2d0c70a8a60a8c27ac6c818b20a77d6",
+    (60, 7): "c11266301d461ee84318d94b07bc8bbe8dfa49e94857a3c7086632aa0f79576f",
+    (77, 10): "8f079025202d7d831abf33eb038ad0e340dd6c70cbd718cebfbda08652c8de1b",
+    (96, 5): "9fb04ceadf3e520513607f3c9e312c7a8cf09f40e514e87955625efdda8a5314",
+    (96, 16): "cb33217c9e32e6eadb0913bb169954dc50d7cdcbcbd1152f6752f67dd5b04b09",
+    (105, 2): "a5cc52f3e8f39692a21b3935d4cbdccf78c0bc2765db1a17787da227e28db0d5",
+    (105, 52): "2c2ad7ddf25e0a732fff174a8074aab1a9f6a906935810bc0f7090522279853f",
+    (112, 8): "259c35d6b44756c50cdc24d7b1ced7cc226b7e718dd840df3751cb66c65493f8",
+    (121, 3): "2b35818b028274fbe74e5ab41e900e0312749090927473ebfc74cb22c1452f08",
+    (127, 40): "8786c514653a86e3cc724728a505029f7e7d046b299d0ddf8aaf132f926d38d5",
+    (128, 1): "d23c4d7324c99725e850fcf91e540dec364b38ef776ff42bcd2ab76e0ad8a177",
+    (128, 63): "cc81d6f2fba60adf863c9023d1e26e72665dcd8a02f7268188e124288f8358ee",
+}
+
+
+@pytest.mark.parametrize("n, a", sorted(_GOLDEN_DECIDE))
+def test_decide_certificate_stdout_matches_golden_digest(capsys, n, a):
+    code, out, _ = _run(capsys, ["decide", "--n", str(n), "--a", str(a),
+                                 "--certificate"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_DECIDE[n, a]
+    cert = json.loads(out)["certificate"]
+    if cert is not None:
+        checks = verify_witness(n, a, tuple(cert))
+        assert checks.sum_zero and checks.relation_zero
+        assert checks.parity_odd and checks.off_support_zero
 
 
 def test_sweep_path_json(capsys):

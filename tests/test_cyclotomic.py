@@ -12,7 +12,7 @@ from lpgst.cyclotomic import (MAX_TABLE_N, CycloElement, IntPolynomial,
                               theta_table)
 from lpgst.relation_lattice import _product_is_zero
 
-# n with dense and sparse phi(2n), up to decision.MAX_LATTICE_N
+# n with dense and sparse phi(2n), from 255 to 1024
 _LARGE_N = (255, 315, 495, 600, 945, 990, 997, 1024)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpgst import decision
+from lpgst.cyclotomic import MAX_TABLE_N
 from lpgst.decision import (RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
                             RULE_POWER_OF_TWO, RULE_TWO_POWER_TIMES_PRIME,
                             SamePairError, alternating_cosine_residual,
@@ -120,6 +121,26 @@ def test_witness_relation_none_for_yes_instances():
     assert witness_relation(8, 3) is None
     assert witness_relation(12, 2) is None
     assert witness_relation(6, 1) is None
+
+
+def test_witness_relation_refuses_n_above_table_bound(monkeypatch):
+    # verify_witness could not re-verify such a vector, and no O(n) vector
+    # or support set is built first: the builders are patched to raise
+    def built(*args):
+        raise AssertionError("an O(n) object was built")
+
+    monkeypatch.setattr(decision, "_residue_witness", built)
+    monkeypatch.setattr(decision, "path_support_partition", built)
+    for n in (MAX_TABLE_N + 1, 10 ** 9):          # composite odd parts
+        assert path_class(n, 1).kind == RULE_ODD_COMPOSITE
+        with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
+            witness_relation(n, 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
+            classify_path(n, 1)
+    # yes-verdicts need no vector and stay O(1) at any n
+    assert witness_relation(2 ** 40, 3) is None
+    verdict = classify_path(2 ** 40, 3)
+    assert verdict.has_lpgst and verdict.certificate is None
 
 
 def test_witness_relation_two_power_times_prime_necessity():
@@ -245,15 +266,33 @@ def _expected_lpgst(n, a):
     return t == 0 or a % 2 ** (t - 1) == 0
 
 
+def _assert_certificate_verifies(n, a, verdict):
+    checks = verify_witness(n, a, verdict.certificate)
+    assert checks.sum_zero and checks.relation_zero, (n, a)
+    assert checks.parity_odd and checks.off_support_zero, (n, a)
+
+
 @pytest.mark.slow
-def test_cross_check_exhaustive_61_to_128():
-    for n in range(61, 129):
+def test_cross_check_exhaustive_61_to_256():
+    for n in range(61, 257):
         for a in range(1, n):
             if 2 * a == n:
                 continue
             check = cross_check(n, a)
             assert check.agree, (n, a)
             assert check.closed_form.has_lpgst == _expected_lpgst(n, a), (n, a)
+            if not check.lattice.has_lpgst:
+                _assert_certificate_verifies(n, a, check.lattice)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [1024, 2030, 2039, 2047, MAX_TABLE_N])
+def test_cross_check_at_the_table_bound(n):
+    check = cross_check(n, 1)
+    assert check.agree
+    assert check.closed_form.has_lpgst == _expected_lpgst(n, 1)
+    if not check.lattice.has_lpgst:
+        _assert_certificate_verifies(n, 1, check.lattice)
 
 
 def test_no_verdicts_always_carry_odd_certificates():

@@ -239,7 +239,8 @@ def test_int64_wraparound_cannot_pass_verification():
 
 def _reference_integer_kernel(columns):
     """The pure-Python column elimination integer_kernel ran before it
-    moved to integer arrays, frozen here as the reference for its basis."""
+    moved to integer arrays, rows in natural order, frozen here as the
+    reference for its lattice."""
     d = len(columns)
     if d == 0:
         return ()
@@ -297,17 +298,42 @@ def _integer_systems(draw):
     return draw(st.lists(column, min_size=d, max_size=d))
 
 
-# Inputs below 2**31, yet int64 would wrap in the last row: the first row
-# leaves a transform of ~2**30 (consecutive Fibonacci numbers) over a row
-# entry 1, the second multiplies it by 2**30 and the third by 2**30 again.
+# Inputs below 2**31 whose int64 elimination outgrows _ELIMINATION_BOUND,
+# so the Python-int retry runs: the first row (consecutive Fibonacci
+# numbers) leaves transform entries near 2**30, and the last row, as sparse
+# and so cleared next, subtracts 2**30 times the third column from the
+# fourth, which puts 2**60 into the middle row.
 _FIB_OVERFLOW = [(1836311903, 1134903170, 0), (1134903170, 701408733, 0),
                  (0, 2 ** 30, 1), (0, 0, 2 ** 30)]
+
+
+def test_fibonacci_system_outgrows_int64_elimination():
+    assert relation_lattice._kernel_basis(np.array(_FIB_OVERFLOW), np.int64) is None
 
 
 @settings(max_examples=300, deadline=None)
 @given(_integer_systems())
 @example(_FIB_OVERFLOW)
 def test_integer_kernel_matches_frozen_reference(columns):
+    # the row order picks the basis, not the lattice: same rank, and every
+    # reference vector an integer combination of the returned basis
     lattice = integer_kernel(columns)
-    assert lattice.basis == _reference_integer_kernel(columns)
+    reference = _reference_integer_kernel(columns)
+    assert lattice.rank == len(reference)
+    assert relation_lattice._product_is_zero(columns, lattice.basis)
+    assert all(_in_lattice(lattice.basis, vec) for vec in reference)
     assert all(type(v) is int for vec in lattice.basis for v in vec)
+
+
+def test_product_check_leaves_float64_before_sums_round():
+    # bits 31 + 24 + 3 = 58: the true sum is 2**53 + 1 + 1 - 2**53 = 2,
+    # but a float64 sum in index order rounds 2**53 + 1 back to 2**53 and
+    # ends at 0 (numpy's float64 product does here)
+    columns = [(2 ** 30,), (1,), (1,), (2 ** 30,)]
+    basis = ((2 ** 23, 1, 1, -2 ** 23),)
+    assert not relation_lattice._product_is_zero(columns, basis)
+    # bits 25 + 25 + 2 = 52: products near 2**50 stay exact in float64
+    side = 2 ** 25 - 1
+    assert relation_lattice._product_is_zero([(side,), (side,)], ((side, -side),))
+    assert not relation_lattice._product_is_zero([(side,), (side,)],
+                                                 ((side, 1 - side),))
