@@ -4,6 +4,7 @@ cospectrality with the +/- sign partition, and numeric fidelity sweeps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,17 +15,11 @@ from .spectra import Spectrum
 SUPPORT_TOL = 1e-8
 
 # Largest grid fidelity_sweep accepts, checked before anything is
-# allocated: 10M points already take 160 MB of times and fidelities.
+# allocated: 10M points already take 160 MB of times and fidelities. With
+# spectra.MAX_SPECTRUM_N it bounds a sweep's cost; the worst accepted CLI
+# sweep on a 2-core x86-64 VM, sweep --path 1024 --steps 10000000, takes
+# 10-12 s and peaks at 267 MB in CSV and in JSON.
 MAX_SWEEP_STEPS = 10_000_000
-
-# Largest steps * (distinct eigenvalues) fidelity_sweep accepts, checked
-# after the steps bound and before the grid is built: the grid's time is
-# linear in it. It keeps the full 10M steps for up to 100 eigenvalues and
-# allows 976,562 steps on the 1024-path. The worst accepted CLI sweeps on a
-# 2-core x86-64 VM: sweep --path 1024 --steps 976562 takes 1.7 s and peaks
-# at 68 MB in CSV and in JSON; --path 100 --steps 10000000 takes 5.4 s /
-# 259 MB in CSV and in JSON, 160 MB of it the two trace arrays.
-MAX_SWEEP_WORK = 1_000_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -153,21 +148,22 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
                    t_max: float, steps: int) -> FidelityTrace:
     """Grid sweep of the transfer fidelity over [0, t_max] with refinement.
 
-    Scans a uniform grid of `steps` points (2..MAX_SWEEP_STEPS, and at most
-    MAX_SWEEP_WORK in steps times eigenvalues), then runs 60 golden-section
-    iterations in the one-cell window around the best
-    grid point. The refined point is inserted into the returned trace, so
-    sup_estimate is the maximum of the stored fidelities.
+    Scans a uniform grid of `steps` points (2..MAX_SWEEP_STEPS, with a step
+    t_max / (steps - 1) of at least the smallest normal double, so the grid
+    times strictly increase), then runs 60 golden-section iterations in the
+    one-cell window around the best grid point. The refined point is
+    inserted into the returned trace, so sup_estimate is the maximum of the
+    stored fidelities.
     """
     if not math.isfinite(t_max) or t_max <= 0:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     if not 2 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(
             f"steps must lie in 2..{MAX_SWEEP_STEPS}, got {steps}")
-    if steps * s.eigenvalues.size > MAX_SWEEP_WORK:
+    if t_max / (steps - 1) < sys.float_info.min:
         raise ValueError(
-            f"steps times eigenvalues must be at most {MAX_SWEEP_WORK}, got "
-            f"{steps} * {s.eigenvalues.size}")
+            f"t_max / (steps - 1) must be at least {sys.float_info.min!r}, "
+            f"got {t_max!r} / {steps - 1}")
     c = transfer_weights(s, frm, to)
     thetas = s.eigenvalues
     # the phases t * theta must stay finite, or every fidelity reads NaN
@@ -184,8 +180,9 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     t_ref, f_ref = _golden_section_max(
         lambda t: _fidelity_at(thetas, c, t), lo, hi, iterations=60)
 
-    if f_ref > fids[best]:
-        pos = int(np.searchsorted(times, t_ref))
+    pos = int(np.searchsorted(times, t_ref))
+    # a refined time that rounds onto a grid time would repeat that time
+    if f_ref > fids[best] and t_ref not in times[pos:pos + 1]:
         times = np.insert(times, pos, t_ref)
         fids = np.insert(fids, pos, f_ref)
         sup, arg = f_ref, t_ref

@@ -20,7 +20,7 @@ from lpgst.cli import (MAX_CLASSIFY_WORK, TRACE_BLOCK, _classify_work,
 from lpgst.cyclotomic import MAX_TABLE_N
 from lpgst.decision import classify_path, verify_witness
 from lpgst.graphs import laplacian
-from lpgst.pair_states import MAX_SWEEP_STEPS, MAX_SWEEP_WORK, fidelity_sweep
+from lpgst.pair_states import MAX_SWEEP_STEPS, fidelity_sweep
 from lpgst.spectra import MAX_SPECTRUM_N, path_spectrum
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -493,23 +493,24 @@ def test_sweep_steps_above_limit_exits_2(capsys, steps):
     assert f"error: steps must lie in 2..{MAX_SWEEP_STEPS}" in err
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_sweep_above_work_limit_exits_2(capsys, fmt):
-    # 1024 eigenvalues at 10M steps: each bound alone accepts it
-    code, out, err = _run(capsys, ["sweep", "--path", "1024", "--from", "1,2",
-                                   "--to", "1023,1024", "--tmax", "10",
-                                   "--steps", str(MAX_SWEEP_STEPS),
-                                   "--format", fmt])
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: steps times eigenvalues must be at most "
-                          f"{MAX_SWEEP_WORK}, got {MAX_SWEEP_STEPS} * 1024")
-    # the steps bound is checked first
+def test_sweep_steps_limit_at_largest_path_exits_2(capsys):
     code, out, err = _run(capsys, ["sweep", "--path", "1024", "--from", "1,2",
                                    "--to", "1023,1024", "--tmax", "10",
                                    "--steps", str(MAX_SWEEP_STEPS + 1)])
     assert code == 2
+    assert out == ""
     assert err.startswith(f"error: steps must lie in 2..{MAX_SWEEP_STEPS}")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_subnormal_step_exits_2(capsys, fmt):
+    # linspace would print the times 0, 0, 4.94065645841e-324
+    code, out, err = _run(capsys, ["sweep", "--path", "2", "--from", "1,2",
+                                   "--to", "2,1", "--tmax", "5e-324",
+                                   "--steps", "3", "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: t_max / (steps - 1) must be at least")
 
 
 def test_sweep_vertex_limit_both_sides(tmp_path, capsys, monkeypatch):
@@ -620,8 +621,8 @@ peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(code, peak_mb, digest.hexdigest())
 """
 
-# stdout digests taken when the grid became one table of phase factors,
-# the same with one BLAS thread and with two
+# stdout digests, the same with one BLAS thread and with two; the first two
+# taken when the grid became one table of phase factors
 _LARGE_SWEEPS = [
     (["--path", "1024", "--from", "100,101", "--to", "924,925",
       "--tmax", "50", "--steps", "100000"], 150,
@@ -629,12 +630,17 @@ _LARGE_SWEEPS = [
     (["--path", "20", "--from", "3,4", "--to", "17,18", "--tmax", "100",
       "--steps", "10000000", "--format", "csv"], 400,
      "7d86016fff0dd38aa315872162e43616f0d285092bc967e8fa5c298a8a6d09f4"),
+    # the largest sweep accepted, both bounds at their limit
+    (["--path", "1024", "--from", "1,2", "--to", "1023,1024", "--tmax", "50",
+      "--steps", "10000000", "--format", "csv"], 400,
+     "d8a230cadf26c283b2acddd0c2dd7fd7935c1c0d499491c349d339c0b6eb8a4e"),
 ]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("argv,limit_mb,digest", _LARGE_SWEEPS,
-                         ids=["path1024-json", "path20-10M-csv"])
+                         ids=["path1024-json", "path20-10M-csv",
+                              "path1024-10M-csv"])
 def test_large_sweep_peak_memory_and_bytes(argv, limit_mb, digest):
     env = dict(os.environ, PYTHONPATH=_SRC)
     done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, "sweep", *argv],

@@ -1,18 +1,18 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from _strategies import graphs_with_pairs
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lpgst import _kernels
 from lpgst.graphs import Graph, laplacian
-from lpgst.pair_states import (MAX_SWEEP_STEPS, MAX_SWEEP_WORK,
-                               NotCospectralError, fidelity_sweep,
-                               pair_fidelity, pair_vector,
+from lpgst.pair_states import (MAX_SWEEP_STEPS, NotCospectralError,
+                               fidelity_sweep, pair_fidelity, pair_vector,
                                path_support_partition, strong_cospectrality,
                                support, transfer_weights)
 from lpgst.spectra import eigendecompose, path_spectrum
@@ -204,24 +204,57 @@ class _GridBuilt(Exception):
     pass
 
 
-def test_fidelity_sweep_work_limit_both_sides(monkeypatch):
-    # the full 10M steps up to 100 eigenvalues, and 976,562 steps at n = 1024
-    assert 100 * MAX_SWEEP_STEPS <= MAX_SWEEP_WORK
-    assert 1024 * 976_562 <= MAX_SWEEP_WORK
-
+def test_fidelity_sweep_steps_limit_at_largest_spectrum(monkeypatch):
     def grid(*args):
         raise _GridBuilt
     monkeypatch.setattr(_kernels, "fidelity_grid", grid)
-    largest = MAX_SWEEP_WORK // 1024
-    for n, steps in ((1024, largest), (100, MAX_SWEEP_STEPS)):
-        with pytest.raises(_GridBuilt):    # accepted: it reached the grid
-            fidelity_sweep(path_spectrum(n), (1, 2), (n - 1, n), 10.0, steps)
-    for n, steps in ((1024, largest + 1), (1024, MAX_SWEEP_STEPS),
-                     (101, MAX_SWEEP_STEPS)):
+    s = path_spectrum(1024)
+    with pytest.raises(_GridBuilt):    # accepted: it reached the grid
+        fidelity_sweep(s, (1, 2), (1023, 1024), 10.0, MAX_SWEEP_STEPS)
+    with pytest.raises(ValueError,
+                       match=f"steps must lie in 2..{MAX_SWEEP_STEPS}, "
+                             f"got {MAX_SWEEP_STEPS + 1}"):
+        fidelity_sweep(s, (1, 2), (1023, 1024), 10.0, MAX_SWEEP_STEPS + 1)
+
+
+def test_fidelity_sweep_step_rule_both_sides():
+    s = path_spectrum(2)
+    # linspace rounds these grids to repeated times, such as 0, 0, 5e-324
+    for t_max, steps in ((5e-324, 3), (1e-323, 4)):
         with pytest.raises(ValueError,
-                           match=f"steps times eigenvalues must be at most "
-                                 f"{MAX_SWEEP_WORK}, got {steps} \\* {n}"):
-            fidelity_sweep(path_spectrum(n), (1, 2), (n - 1, n), 10.0, steps)
+                           match="t_max / \\(steps - 1\\) must be at least"):
+            fidelity_sweep(s, (1, 2), (2, 1), t_max, steps)
+    for steps in (2, 3, 4, 1000):
+        t_max = 2 * (steps - 1) * sys.float_info.min
+        trace = fidelity_sweep(s, (1, 2), (2, 1), t_max, steps)
+        assert np.all(np.diff(trace.times) > 0)
+
+
+@st.composite
+def _mirror_path_sweeps(draw):
+    n = draw(st.integers(3, 30))
+    a = draw(st.integers(1, n - 1))
+    t_max = 10.0 ** draw(st.floats(-300.0, 6.0))
+    return n, a, t_max, draw(st.integers(2, 3000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mirror_path_sweeps())
+@example((4, 1, 5e-324, 3))
+@example((4, 1, 1e-323, 4))
+@example((13, 8, 2.999433138510301e-82, 2237))  # refined time on a grid time
+def test_fidelity_sweep_trace_invariants(sweep):
+    n, a, t_max, steps = sweep
+    frm, to = (a, a + 1), (n - a, n - a + 1)
+    if t_max / (steps - 1) < sys.float_info.min:
+        with pytest.raises(ValueError):
+            fidelity_sweep(path_spectrum(n), frm, to, t_max, steps)
+        return
+    trace = fidelity_sweep(path_spectrum(n), frm, to, t_max, steps)
+    assert np.all(np.diff(trace.times) > 0)
+    assert len(trace.times) in (steps, steps + 1)
+    assert trace.sup_estimate == trace.fidelities.max()
+    assert trace.argmax_time == trace.times[np.argmax(trace.fidelities)]
 
 
 def test_transfer_weights_match_projector_quadratic_form():
