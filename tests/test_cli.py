@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpgst import cli, spectra
+from lpgst import _kernels, cli, spectra
 from lpgst.cli import (MAX_CLASSIFY_WORK, TRACE_BLOCK, _classify_work,
                        _csv_block, _json_block, _round12, main)
 from lpgst.cyclotomic import MAX_TABLE_N
@@ -493,10 +493,24 @@ def test_sweep_steps_above_limit_exits_2(capsys, steps):
     assert f"error: steps must lie in 2..{MAX_SWEEP_STEPS}" in err
 
 
-def test_sweep_steps_limit_at_largest_path_exits_2(capsys):
-    code, out, err = _run(capsys, ["sweep", "--path", "1024", "--from", "1,2",
-                                   "--to", "1023,1024", "--tmax", "10",
-                                   "--steps", str(MAX_SWEEP_STEPS + 1)])
+class _GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_above_work_limit_exits_2(capsys, monkeypatch, fmt):
+    # steps times eigenvalues has no bound of its own: MAX_SWEEP_STEPS on the
+    # largest path reaches the grid, and one step more exits 2
+    def grid(*args):
+        raise _GridBuilt
+    monkeypatch.setattr(_kernels, "fidelity_grid", grid)
+    argv = ["sweep", "--path", str(MAX_SPECTRUM_N), "--from", "1,2",
+            "--to", f"{MAX_SPECTRUM_N - 1},{MAX_SPECTRUM_N}", "--tmax", "10",
+            "--format", fmt, "--steps"]
+    with pytest.raises(_GridBuilt):
+        main(argv + [str(MAX_SWEEP_STEPS)])
+    capsys.readouterr()
+    code, out, err = _run(capsys, argv + [str(MAX_SWEEP_STEPS + 1)])
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: steps must lie in 2..{MAX_SWEEP_STEPS}")
