@@ -14,9 +14,8 @@ from .graphs import (Graph, GraphParseError, laplacian, make_path,
 from .pair_states import (FidelityTrace, NotCospectralError, SupportPartition,
                           fidelity_sweep, pair_fidelity, path_support_partition,
                           strong_cospectrality, support, transfer_weights)
-from .relation_lattice import (ParityFunctional, RelationLattice,
-                               build_relation_system, integer_kernel,
-                               parity_holds)
+from .relation_lattice import (RelationLattice, build_relation_system,
+                               integer_kernel, parity_holds)
 from .spectra import (Spectrum, TransitionMatrix, eigendecompose,
                       path_spectrum, projector_residuals, transition_matrix)
 
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CrossCheck", "CycloElement", "FidelityTrace",
     "Graph", "GraphParseError", "IntPolynomial", "NotCospectralError",
-    "ParityFunctional", "PathClass", "RelationLattice", "SamePairError",
+    "PathClass", "RelationLattice", "SamePairError",
     "Spectrum", "SupportPartition", "TransitionMatrix", "Verdict",
     "WitnessCheck", "alternating_cosine_residual", "build_relation_system",
     "classify_path", "cross_check",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .decision import SamePairError, cross_check, path_class
 from .graphs import GraphParseError, laplacian, parse_graph
-from .pair_states import fidelity_sweep
+from .pair_states import check_sweep_grid, fidelity_sweep, pair_vector
 from .spectra import check_vertex_count, eigendecompose, path_spectrum
 
 SCHEMA_VERSION = "1"
@@ -105,12 +105,6 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"non-integer label in pair {text!r}") from None
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _a_values(n: int, a) -> range:
     """The --a values that lie in 1..n-1."""
     return range(1, n) if a == "all" else range(max(a.start, 1), min(a.stop, n))
@@ -169,7 +163,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         lines = [f"# schema_version={SCHEMA_VERSION}", "n,a,verdict,rule"]
         lines.extend(f"{r['n']},{r['a']},{r['verdict']},{r['rule']}" for r in rows)
-        _emit("\n".join(lines))
+        print("\n".join(lines))
     else:
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -177,7 +171,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "inputs": {"n": _span_text(args.n), "a": _span_text(args.a)},
             "results": rows,
         }
-        _emit(json.dumps(record))
+        print(json.dumps(record))
     return 0
 
 
@@ -211,7 +205,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         record["certificate"] = list(cert) if cert is not None else None
         record["sigma_sum"] = (lattice.sigma_sum if lattice.sigma_sum is not None
                                else closed.sigma_sum)
-    _emit(json.dumps(record))
+    print(json.dumps(record))
     if not check.agree:
         print("error: closed-form and lattice verdicts disagree", file=sys.stderr)
         return 3
@@ -220,6 +214,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        check_sweep_grid(args.tmax, args.steps)     # before any file or spectrum
         if args.path is not None:
             spectrum = path_spectrum(args.path)
             source = f"path:{args.path}"
@@ -227,6 +222,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             with open(args.graph, encoding="utf-8") as fh:
                 graph = parse_graph(fh.read())
             check_vertex_count(graph.n)     # before laplacian allocates n x n
+            for pair in (args.from_pair, args.to_pair):
+                pair_vector(graph.n, pair)
             spectrum = eigendecompose(laplacian(graph))
             source = args.graph
         trace = fidelity_sweep(spectrum, args.from_pair, args.to_pair,

@@ -4,7 +4,7 @@
 Two independent routes produce every verdict: a closed-form rule keyed to
 the factorization n = 2^t * (odd part), and an exact lattice pipeline
 that computes the integer relation kernel over the support eigenvalues
-and tests the minus-sign parity functional on it. No-verdicts carry an
+and tests the parity of the minus-sign marks on it. No-verdicts carry an
 explicit integer witness vector that can be re-verified exactly.
 """
 from __future__ import annotations
@@ -52,16 +52,16 @@ class PathClass:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Transfer decision with provenance and optional integer certificate.
+    """Transfer decision with an optional integer certificate.
 
-    certificate, when present, is a vector over k = 1..n-1 whose
+    rule is the PathClass kind on closed-form verdicts and None on lattice
+    ones. certificate, when present, is a vector over k = 1..n-1 whose
     minus-parity sum (sigma_sum) is odd, refuting transfer.
     """
 
     has_lpgst: bool
     from_pair: tuple[int, int]
     to_pair: tuple[int, int]
-    provenance: str
     rule: str | None = None
     certificate: tuple[int, ...] | None = None
     sigma_sum: int | None = None
@@ -127,7 +127,7 @@ def classify_path(n: int, a: int) -> Verdict:
         part = path_support_partition(n, a)
         sigma_sum = sum(certificate[k - 1] for k in part.minus)
     return Verdict(has_lpgst=cls.has_lpgst, from_pair=frm, to_pair=to,
-                   provenance="closed-form", rule=cls.kind,
+                   rule=cls.kind,
                    certificate=certificate, sigma_sum=sigma_sum)
 
 
@@ -150,14 +150,13 @@ def decide_path_lpgst(n: int, a: int) -> Verdict:
     lattice = integer_kernel(columns, index_map)
     holds, bad = parity_holds(lattice, sigma)
     if holds:
-        return Verdict(has_lpgst=True, from_pair=frm, to_pair=to,
-                       provenance="lattice-parity")
+        return Verdict(has_lpgst=True, from_pair=frm, to_pair=to)
     full = [0] * (n - 1)
     for pos, k in enumerate(index_map):
         full[k - 1] = bad[pos]
     return Verdict(has_lpgst=False, from_pair=frm, to_pair=to,
-                   provenance="lattice-parity",
-                   certificate=tuple(full), sigma_sum=sigma.dot(bad))
+                   certificate=tuple(full),
+                   sigma_sum=sum(full[k - 1] for k in part.minus))
 
 
 def witness_relation(n: int, a: int) -> tuple[int, ...] | None:

@@ -144,17 +144,10 @@ def path_support_partition(n: int, a: int) -> SupportPartition:
                             excluded=excluded)
 
 
-def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
-                   t_max: float, steps: int) -> FidelityTrace:
-    """Grid sweep of the transfer fidelity over [0, t_max] with refinement.
-
-    Scans a uniform grid of `steps` points (2..MAX_SWEEP_STEPS, with a step
-    t_max / (steps - 1) of at least the smallest normal double, so the grid
-    times strictly increase), then runs 60 golden-section iterations in the
-    one-cell window around the best grid point. The refined point is
-    inserted into the returned trace, so sup_estimate is the maximum of the
-    stored fidelities.
-    """
+def check_sweep_grid(t_max: float, steps: int) -> None:
+    """Raise ValueError unless t_max is finite and positive, steps lies in
+    2..MAX_SWEEP_STEPS and the step t_max / (steps - 1) is at least the
+    smallest normal double, so the grid times strictly increase."""
     if not math.isfinite(t_max) or t_max <= 0:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     if not 2 <= steps <= MAX_SWEEP_STEPS:
@@ -164,6 +157,19 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
         raise ValueError(
             f"t_max / (steps - 1) must be at least {sys.float_info.min!r}, "
             f"got {t_max!r} / {steps - 1}")
+
+
+def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
+                   t_max: float, steps: int) -> FidelityTrace:
+    """Grid sweep of the transfer fidelity over [0, t_max] with refinement.
+
+    Scans a uniform grid of `steps` points (refused as check_sweep_grid
+    refuses them), then runs 60 golden-section iterations in the
+    one-cell window around the best grid point. The refined point is
+    inserted into the returned trace, so sup_estimate is the maximum of the
+    stored fidelities.
+    """
+    check_sweep_grid(t_max, steps)
     c = transfer_weights(s, frm, to)
     thetas = s.eigenvalues
     # the phases t * theta must stay finite, or every fidelity reads NaN
@@ -185,11 +191,10 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     if f_ref > fids[best] and t_ref not in times[pos:pos + 1]:
         times = np.insert(times, pos, t_ref)
         fids = np.insert(fids, pos, f_ref)
-        sup, arg = f_ref, t_ref
-    else:
-        sup, arg = float(fids[best]), float(times[best])
+        best = pos
     return FidelityTrace(times=times, fidelities=fids,
-                         sup_estimate=sup, argmax_time=arg)
+                         sup_estimate=float(fids[best]),
+                         argmax_time=float(times[best]))
 
 
 def _fidelity_at(thetas: np.ndarray, weights: np.ndarray, t: float) -> float:

@@ -41,16 +41,6 @@ class RelationLattice:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class ParityFunctional:
-    """0/1 marks over support positions; 1 flags a minus-sign eigenvalue."""
-
-    sigma: tuple[int, ...]
-
-    def dot(self, vector: tuple[int, ...]) -> int:
-        return sum(s * v for s, v in zip(self.sigma, vector))
-
-
 def integer_kernel(columns: list[tuple[int, ...]],
                    index_map: tuple[int, ...] | None = None) -> RelationLattice:
     """Basis of {v integer : sum_j v_j * columns[j] = 0}, exactly.
@@ -174,12 +164,14 @@ def _exact_array(rows) -> np.ndarray:
 def build_relation_system(
     n: int,
     part: SupportPartition,
-) -> tuple[np.ndarray, ParityFunctional, tuple[int, ...]]:
-    """Columns, parity marks, and index map for the path relation system.
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Columns, minus marks, and index map for the path relation system.
 
     One column (a row of the returned array) per support eigenvalue index
     k: the cyclotomic coefficients of the eigenvalue, row k - 1 of
-    theta_table(n), with a trailing 1 for the zero-sum constraint.
+    theta_table(n), with a trailing 1 for the zero-sum constraint. The
+    minus marks are an int64 array, 1 where k is a minus-sign eigenvalue
+    and 0 elsewhere.
     """
     indices = sorted(part.support)
     if not indices:
@@ -190,23 +182,25 @@ def build_relation_system(
     table = theta_table(n)
     columns = np.ones((len(indices), table.shape[1] + 1), dtype=table.dtype)
     columns[:, :-1] = table[np.array(indices) - 1]
-    sigma = ParityFunctional(tuple(1 if k in part.minus else 0 for k in indices))
+    sigma = np.array([k in part.minus for k in indices], dtype=np.int64)
     return columns, sigma, tuple(indices)
 
 
 def parity_holds(lat: RelationLattice,
-                 sigma: ParityFunctional) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether sigma is even on every lattice vector, by checking the basis.
+                 sigma) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether the 0/1 marks sigma are even on every lattice vector, by
+    checking the basis.
 
-    sigma(v) mod 2 is linear in v, so even parity on a generating set
+    sigma . v mod 2 is linear in v, so even parity on a generating set
     extends to the whole lattice. Returns (True, None) or (False, witness)
     where the witness is a basis vector with odd parity.
     """
-    if len(sigma.sigma) != lat.dimension:
+    marks = np.asarray(sigma).tolist()
+    if len(marks) != lat.dimension:
         raise ValueError(
-            f"parity functional length {len(sigma.sigma)} does not match "
+            f"parity marks length {len(marks)} does not match "
             f"lattice dimension {lat.dimension}")
     for vec in lat.basis:
-        if sigma.dot(vec) % 2 != 0:
+        if sum(s * v for s, v in zip(marks, vec)) % 2 != 0:
             return False, vec
     return True, None

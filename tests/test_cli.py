@@ -136,6 +136,15 @@ def test_classify_partial_a_range_keeps_rows(capsys):
     assert "note:" not in err
 
 
+def test_classify_empty_range_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--n", "5..3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty range '5..3'" in captured.err
+
+
 def test_classify_work_counts_rows_times_n():
     assert _classify_work(range(2, 101), "all") == sum(
         n * (n - 1) for n in range(2, 101))
@@ -567,15 +576,70 @@ def test_sweep_bad_pair_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_non_integer_label_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--path", "3", "--from", "1,x", "--to", "2,3",
+              "--tmax", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-integer label in pair '1,x'" in captured.err
+
+
+class _Reached(Exception):
+    pass
+
+
+def _fail_if_reached(monkeypatch, *names):
+    def reached(*args):
+        raise _Reached
+    for name in names:
+        monkeypatch.setattr(cli, name, reached)
+
+
+@pytest.mark.parametrize("grid,message", [
+    (["--tmax", "5e-324", "--steps", "3"], "t_max / (steps - 1) must be at least"),
+    (["--tmax", "10", "--steps", "1"], f"steps must lie in 2..{MAX_SWEEP_STEPS}"),
+    (["--tmax", "nan", "--steps", "3"], "t_max must be finite and positive"),
+], ids=["subnormal-step", "one-step", "nan-tmax"])
+def test_sweep_bad_grid_exits_2_before_the_graph_is_read(tmp_path, capsys,
+                                                         monkeypatch, grid,
+                                                         message):
+    _fail_if_reached(monkeypatch, "parse_graph", "laplacian", "eigendecompose")
+    (tmp_path / "g.txt").write_text("n 3\ne 1 2\ne 2 3\n")
+    code, out, err = _run(capsys, ["sweep", "--graph", str(tmp_path / "g.txt"),
+                                   "--from", "1,2", "--to", "2,3", *grid])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("frm,to,message", [
+    ("1,2000", "2,3", "pair (1, 2000) out of range for n=3"),
+    ("1,2", "0,1", "pair (0, 1) out of range for n=3"),
+    ("2,2", "2,3", "pair vertices must differ"),
+], ids=["label-past-n", "label-0", "same-vertex"])
+def test_sweep_graph_bad_pair_exits_2_before_laplacian(tmp_path, capsys,
+                                                       monkeypatch, frm, to,
+                                                       message):
+    _fail_if_reached(monkeypatch, "laplacian", "eigendecompose")
+    (tmp_path / "g.txt").write_text("n 3\ne 1 2\ne 2 3\n")
+    code, out, err = _run(capsys, ["sweep", "--graph", str(tmp_path / "g.txt"),
+                                   "--from", frm, "--to", to, "--tmax", "10",
+                                   "--steps", "50"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_decide_disagreement_exits_3(capsys, monkeypatch):
     # Never expected from the real engine; force it to cover the alarm path.
     import lpgst.cli as cli
     from lpgst.decision import CrossCheck, Verdict
 
     def fake_cross_check(n, a):
-        yes = Verdict(True, (1, 2), (3, 4), "closed-form", rule="power-of-two")
-        no = Verdict(False, (1, 2), (3, 4), "lattice-parity",
-                     certificate=(1, 0, -1), sigma_sum=1)
+        yes = Verdict(True, (1, 2), (3, 4), rule="power-of-two")
+        no = Verdict(False, (1, 2), (3, 4), certificate=(1, 0, -1), sigma_sum=1)
         return CrossCheck(closed_form=yes, lattice=no)
 
     monkeypatch.setattr(cli, "cross_check", fake_cross_check)

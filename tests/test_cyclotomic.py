@@ -69,6 +69,9 @@ def test_theta_rows_refuse_int64_overflow():
     # (-c)^3 wraps
     with pytest.raises(OverflowError, match="could leave int64"):
         _theta_rows(4, np.array([2 ** 40, 1]))
+    # a modulus entry of 2**61 is refused before any power is built
+    with pytest.raises(OverflowError, match="could leave int64"):
+        _theta_rows(4, np.array([2 ** 61, 1]))
     # small enough, the same rows are exact
     power = [(-3) ** j for j in range(4)]
     assert _theta_rows(4, np.array([3, 1])).tolist() == [
@@ -232,6 +235,13 @@ def test_int_polynomial_normalizes_trailing_zeros():
 def test_euler_phi_values():
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert euler_phi(128) == 64
+
+
+def test_totient_and_cyclotomic_refuse_nonpositive_index():
+    with pytest.raises(ValueError, match="positive argument, got 0"):
+        euler_phi(0)
+    with pytest.raises(ValueError, match="must be positive, got 0"):
+        cyclotomic_polynomial(0)
 
 
 def test_cyclo_element_shape_checked():

@@ -76,13 +76,15 @@ def test_classify_validates_instance():
 def test_decide_lattice_pipeline_examples():
     verdict = decide_path_lpgst(4, 1)
     assert verdict.has_lpgst
-    assert verdict.provenance == "lattice-parity"
 
     verdict = decide_path_lpgst(9, 1)
     assert not verdict.has_lpgst
     assert verdict.certificate is not None
     checks = verify_witness(9, 1, verdict.certificate)
     assert checks.sum_zero and checks.relation_zero and checks.parity_odd
+    # an exact Python int, which json.dumps writes as it is
+    assert type(verdict.sigma_sum) is int
+    assert verdict.sigma_sum == checks.sigma_sum
 
     assert decide_path_lpgst(5, 2).has_lpgst
 

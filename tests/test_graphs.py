@@ -55,6 +55,11 @@ def test_graph_rejects_out_of_range():
         Graph(3, frozenset({(1, 4)}))
 
 
+def test_graph_rejects_no_vertices():
+    with pytest.raises(ValueError, match="vertex count must be positive, got 0"):
+        Graph(0)
+
+
 def test_laplacian_single_edge():
     assert np.array_equal(laplacian(make_path(2)), [[1, -1], [-1, 1]])
 
@@ -118,6 +123,11 @@ def test_parse_graph_bad_tokens():
         parse_graph("n 3\ne 1 two")
     with pytest.raises(GraphParseError, match="self-loop"):
         parse_graph("n 3\ne 2 2")
+    with pytest.raises(GraphParseError,
+                       match="line 1: vertex count must be positive, got 0"):
+        parse_graph("n 0\n")
+    with pytest.raises(GraphParseError, match="line 2: expected 'e <u> <v>'"):
+        parse_graph("n 3\nx 1 2\n")
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from lpgst import relation_lattice
 from lpgst.pair_states import SupportPartition, path_support_partition
-from lpgst.relation_lattice import (ParityFunctional, RelationLattice,
-                                    build_relation_system, integer_kernel,
-                                    parity_holds)
+from lpgst.relation_lattice import (RelationLattice, build_relation_system,
+                                    integer_kernel, parity_holds)
 
 
 def _in_lattice(basis, vector):
@@ -48,7 +47,7 @@ def test_integer_kernel_path_four_system():
     columns, sigma, index_map = build_relation_system(4, part)
     assert len(columns) == 3
     assert index_map == (1, 2, 3)
-    assert sigma.sigma == (0, 1, 0)
+    assert sigma.dtype == np.int64 and sigma.tolist() == [0, 1, 0]
     assert all(col[-1] == 1 for col in columns)  # zero-sum constraint row
     lattice = integer_kernel(columns, index_map)
     assert lattice.basis == ((1, -2, 1),)
@@ -57,6 +56,10 @@ def test_integer_kernel_path_four_system():
 def test_integer_kernel_injective_map_has_empty_kernel():
     columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert integer_kernel(columns).basis == ()
+
+
+def test_integer_kernel_of_no_columns_is_empty():
+    assert integer_kernel([]) == RelationLattice(0, (), ())
 
 
 def test_integer_kernel_zero_column():
@@ -96,7 +99,7 @@ def test_integer_kernel_saturated_at_small_scale():
 def test_build_relation_system_small_paths():
     columns, sigma, index_map = build_relation_system(3, path_support_partition(3, 1))
     assert index_map == (1, 2)
-    assert sigma.sigma == (0, 1)
+    assert sigma.dtype == np.int64 and sigma.tolist() == [0, 1]
     assert columns.tolist() == [[1, 0, 1],    # theta_1 = 1 plus the ones row
                                 [3, 0, 1]]    # theta_2 = 3
 
@@ -127,7 +130,7 @@ def test_build_relation_system_rejects_indices_off_the_path():
 
 def test_parity_holds_even_basis():
     lattice = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
-    holds, witness = parity_holds(lattice, ParityFunctional((0, 1, 0)))
+    holds, witness = parity_holds(lattice, (0, 1, 0))
     assert holds and witness is None
 
 
@@ -143,14 +146,14 @@ def test_parity_holds_odd_basis_returns_certificate():
 
 def test_parity_holds_empty_basis_vacuous():
     lattice = RelationLattice(2, (), (1, 2))
-    holds, witness = parity_holds(lattice, ParityFunctional((1, 1)))
+    holds, witness = parity_holds(lattice, [1, 1])
     assert holds and witness is None
 
 
 def test_parity_holds_dimension_check():
     lattice = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
     with pytest.raises(ValueError, match="dimension"):
-        parity_holds(lattice, ParityFunctional((0, 1)))
+        parity_holds(lattice, np.array([0, 1]))
 
 
 def test_parity_invariant_under_unimodular_basis_change():

@@ -90,6 +90,11 @@ def test_eigendecompose_rejects_nonsymmetric():
         eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_eigendecompose_rejects_non_square():
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+        eigendecompose(np.zeros((2, 3)))
+
+
 def test_eigendecompose_agrees_with_lapack_on_random_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(10):
