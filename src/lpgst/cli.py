@@ -2,7 +2,8 @@
 with certificates, and fidelity sweeps.
 
 Exit codes: 0 success, 2 usage or input error, 3 internal cross-check
-failure (the two decision routes disagree; never expected). Output on
+failure (the two decision routes disagree, or a certificate about to be
+printed fails re-verification; never expected). Output on
 stdout is deterministic: records are sorted and floats are formatted at
 12 significant digits. Timing goes to stderr.
 """
@@ -15,7 +16,7 @@ import time
 
 import numpy as np
 
-from .decision import SamePairError, cross_check, path_class
+from .decision import SamePairError, cross_check, path_class, verify_witness
 from .graphs import GraphParseError, laplacian, parse_graph
 from .pair_states import check_sweep_grid, fidelity_sweep, pair_vector
 from .spectra import check_vertex_count, eigendecompose, path_spectrum
@@ -202,9 +203,15 @@ def cmd_decide(args: argparse.Namespace) -> int:
     }
     if args.certificate:
         cert = lattice.certificate if lattice.certificate is not None else closed.certificate
-        record["certificate"] = list(cert) if cert is not None else None
-        record["sigma_sum"] = (lattice.sigma_sum if lattice.sigma_sum is not None
-                               else closed.sigma_sum)
+        record["certificate"] = record["sigma_sum"] = None
+        if cert is not None:
+            witness = verify_witness(args.n, args.a, cert)
+            failed = [f for f, ok in zip(witness._fields[:4], witness) if not ok]
+            if failed:
+                print(f"error: certificate fails re-verification: {', '.join(failed)}",
+                      file=sys.stderr)
+                return 3
+            record["certificate"], record["sigma_sum"] = list(cert), witness.sigma_sum
     print(json.dumps(record))
     if not check.agree:
         print("error: closed-form and lattice verdicts disagree", file=sys.stderr)
@@ -216,16 +223,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         check_sweep_grid(args.tmax, args.steps)     # before any file or spectrum
         if args.path is not None:
-            spectrum = path_spectrum(args.path)
-            source = f"path:{args.path}"
+            n, source = args.path, f"path:{args.path}"
         else:
             with open(args.graph, encoding="utf-8") as fh:
                 graph = parse_graph(fh.read())
-            check_vertex_count(graph.n)     # before laplacian allocates n x n
-            for pair in (args.from_pair, args.to_pair):
-                pair_vector(graph.n, pair)
-            spectrum = eigendecompose(laplacian(graph))
-            source = args.graph
+            n, source = graph.n, args.graph
+        check_vertex_count(n)       # before either spectrum allocates n x n
+        for pair in (args.from_pair, args.to_pair):
+            pair_vector(n, pair)
+        spectrum = (path_spectrum(n) if args.path is not None
+                    else eigendecompose(laplacian(graph)))
         trace = fidelity_sweep(spectrum, args.from_pair, args.to_pair,
                                args.tmax, args.steps)
     except (OSError, GraphParseError, ValueError) as exc:

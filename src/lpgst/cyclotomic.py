@@ -202,7 +202,7 @@ class CycloElement:
 # The exact route's one size bound. A table is at most n * n * 8 bytes and
 # its build holds two: 32 MiB at n = 2048, peaking 63 MiB above the process.
 # The lattice route's slowest cases below the bound, decide --n 2030..2048
-# --a 1, take 1.0-2.0 s and peak at 263-286 MB end to end (2-core x86-64 VM).
+# --a 1, take 0.3-0.5 s and peak at 222-281 MB end to end (2-core x86-64 VM).
 MAX_TABLE_N = 2048
 
 

@@ -10,14 +10,14 @@ explicit integer witness vector that can be re-verified exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cyclotomic import MAX_TABLE_N, _prime_factors, theta_table
 from .pair_states import path_support_partition
-from .relation_lattice import (_product_is_zero, build_relation_system,
-                               integer_kernel, parity_holds)
+from .relation_lattice import (_exact_array, _product_is_zero,
+                               build_relation_system, integer_kernel,
+                               parity_holds)
 
 RULE_POWER_OF_TWO = "power-of-two"
 RULE_ODD_PRIME = "odd-prime"
@@ -56,7 +56,7 @@ class Verdict:
 
     rule is the PathClass kind on closed-form verdicts and None on lattice
     ones. certificate, when present, is a vector over k = 1..n-1 whose
-    minus-parity sum (sigma_sum) is odd, refuting transfer.
+    minus-parity sum is odd, refuting transfer (verify_witness checks it).
     """
 
     has_lpgst: bool
@@ -64,7 +64,6 @@ class Verdict:
     to_pair: tuple[int, int]
     rule: str | None = None
     certificate: tuple[int, ...] | None = None
-    sigma_sum: int | None = None
 
 
 class WitnessCheck(NamedTuple):
@@ -121,14 +120,9 @@ def classify_path(n: int, a: int) -> Verdict:
     _validate_instance(n, a)
     cls = path_class(n, a)
     frm, to = _mirror_pairs(n, a)
-    certificate = sigma_sum = None
-    if not cls.has_lpgst:
-        certificate = witness_relation(n, a)
-        part = path_support_partition(n, a)
-        sigma_sum = sum(certificate[k - 1] for k in part.minus)
     return Verdict(has_lpgst=cls.has_lpgst, from_pair=frm, to_pair=to,
                    rule=cls.kind,
-                   certificate=certificate, sigma_sum=sigma_sum)
+                   certificate=None if cls.has_lpgst else witness_relation(n, a))
 
 
 def decide_path_lpgst(n: int, a: int) -> Verdict:
@@ -155,8 +149,7 @@ def decide_path_lpgst(n: int, a: int) -> Verdict:
     for pos, k in enumerate(index_map):
         full[k - 1] = bad[pos]
     return Verdict(has_lpgst=False, from_pair=frm, to_pair=to,
-                   certificate=tuple(full),
-                   sigma_sum=sum(full[k - 1] for k in part.minus))
+                   certificate=tuple(full))
 
 
 def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
@@ -209,15 +202,7 @@ def verify_witness(n: int, a: int, relation: tuple[int, ...]) -> WitnessCheck:
     if len(relation) != n - 1:
         raise ValueError(
             f"witness must have length {n - 1} for n={n}, got {len(relation)}")
-    # the integer product would truncate a fractional entry to an integer;
-    # checked once per distinct type, since an isinstance test per entry
-    # took half of a warm call at n = 1001
-    types = set(map(type, relation))
-    if not all(issubclass(t, numbers.Integral) for t in types):
-        raise ValueError("witness entries must be integers")
-    # Python ints from here: numpy scalars wrap in sums (int64) and turn to
-    # floats in products (uint64 * int64)
-    relation = list(map(int, relation))
+    relation = _exact_array([relation])[0].tolist()     # exact Python ints
     part = path_support_partition(n, a)
     sum_zero = sum(relation) == 0
     used = [i for i, v in enumerate(relation) if v]         # positions k - 1

@@ -15,6 +15,7 @@ entry) + bits(column count) < 53, so every partial sum is an integer below
 """
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -64,13 +65,7 @@ def integer_kernel(columns: list[tuple[int, ...]],
     if any(len(c) != rows for c in columns):
         raise ValueError("columns must all have the same length")
 
-    mat = np.array(columns)                     # mat[j, i]: column j, row i
-    if mat.dtype.kind != "i":
-        # floats, or integers beyond int64 (numpy infers uint64, float64 or
-        # object for those): an integer cast would truncate 0.5 to 0
-        if not all(isinstance(v, numbers.Integral) for col in columns for v in col):
-            raise ValueError("column entries must be integers")
-        mat = _exact_array(columns)
+    mat = _exact_array(columns)                 # mat[j, i]: column j, row i
     basis = None
     if mat.dtype != object and _max_abs(mat) < _ELIMINATION_BOUND:
         basis = _kernel_basis(mat, np.int64)
@@ -134,7 +129,8 @@ def _product_is_zero(columns, basis) -> bool:
     One matrix product, in float64 only when bits(max|column entry|) +
     bits(max|basis entry|) + bits(number of columns) < 53, so that each of
     the d terms and every partial sum is an integer below 2**53, which
-    float64 holds exactly in any order; on Python ints otherwise.
+    float64 holds exactly in any order; on Python ints otherwise. Raises
+    ValueError unless every entry is an integer.
     """
     cols = _exact_array(columns)
     vecs = _exact_array(basis)
@@ -149,16 +145,26 @@ def _product_is_zero(columns, basis) -> bool:
 def _exact_array(rows) -> np.ndarray:
     """2-D integer array: int64 when every entry fits, Python ints otherwise.
 
-    An int64 array is used as it is, without a copy. An unsigned array is
-    scanned for entries past int64, which a cast would wrap to negatives.
+    The one check that caller input is integer: any other entry raises
+    ValueError, where an integer cast would truncate 0.5 to 0. An int64
+    array is used as it is, without a copy. An unsigned array is scanned
+    for entries past int64, which a cast would wrap to negatives. Input
+    numpy reads as neither (floats, strings, integers past int64) is
+    checked once per distinct entry type: an isinstance test per entry
+    took half of a warm verify_witness call at n = 1001.
     """
-    if (isinstance(rows, np.ndarray) and rows.dtype.kind == "u"
-            and rows.size and rows.max() > np.iinfo(np.int64).max):
-        return rows.astype(object)
+    arr = np.asarray(rows)
+    if arr.dtype.kind in "biu":
+        if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+            return arr.astype(object)
+        return arr.astype(np.int64, copy=False)
+    for kind in set(map(type, itertools.chain.from_iterable(rows))):
+        if not issubclass(kind, numbers.Integral):
+            raise ValueError(f"entries must be integers, got {kind.__name__}")
     try:
         return np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
+    except OverflowError:       # numpy scalars would wrap (int64) or turn float
+        return np.array([[int(v) for v in row] for row in rows], dtype=object)
 
 
 def build_relation_system(

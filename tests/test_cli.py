@@ -632,6 +632,16 @@ def test_sweep_graph_bad_pair_exits_2_before_laplacian(tmp_path, capsys,
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("path", ["1024", "5", "1"])
+def test_sweep_path_bad_pair_exits_2_before_path_spectrum(capsys, monkeypatch, path):
+    _fail_if_reached(monkeypatch, "path_spectrum")
+    code, out, err = _run(capsys, ["sweep", "--path", path, "--from", "1,2000",
+                                   "--to", "3,4", "--tmax", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: pair (1, 2000) out of range for n={path}")
+
+
 def test_decide_disagreement_exits_3(capsys, monkeypatch):
     # Never expected from the real engine; force it to cover the alarm path.
     import lpgst.cli as cli
@@ -639,7 +649,7 @@ def test_decide_disagreement_exits_3(capsys, monkeypatch):
 
     def fake_cross_check(n, a):
         yes = Verdict(True, (1, 2), (3, 4), rule="power-of-two")
-        no = Verdict(False, (1, 2), (3, 4), certificate=(1, 0, -1), sigma_sum=1)
+        no = Verdict(False, (1, 2), (3, 4), certificate=(1, 0, -1))
         return CrossCheck(closed_form=yes, lattice=no)
 
     monkeypatch.setattr(cli, "cross_check", fake_cross_check)
@@ -647,6 +657,23 @@ def test_decide_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["agree"] is False
     assert "disagree" in err
+
+
+def test_decide_certificate_failing_reverification_exits_3(capsys, monkeypatch):
+    # Never expected from the real engine: (1, 0, -1) is no relation among
+    # the eigenvalues of the 4-path, yet both routes are made to carry it.
+    from lpgst.decision import CrossCheck, Verdict
+
+    def fake_cross_check(n, a):
+        no = Verdict(False, (1, 2), (3, 4), certificate=(1, 0, -1))
+        return CrossCheck(closed_form=no, lattice=no)
+
+    monkeypatch.setattr(cli, "cross_check", fake_cross_check)
+    code, out, err = _run(capsys, ["decide", "--n", "4", "--a", "1", "--certificate"])
+    assert code == 3
+    assert out == ""
+    [line] = [x for x in err.splitlines() if x.startswith("error:")]
+    assert "relation_zero" in line
 
 
 def test_timing_goes_to_stderr_not_stdout(capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpgst import relation_lattice
+from lpgst.decision import classify_path, verify_witness
 from lpgst.pair_states import SupportPartition, path_support_partition
 from lpgst.relation_lattice import (RelationLattice, build_relation_system,
                                     integer_kernel, parity_holds)
@@ -208,6 +209,40 @@ def test_integer_kernel_rejects_non_integer_entries():
         integer_kernel([(1.0,), (1,)])
     # integers beyond int64, mixed with negatives numpy would infer float64
     assert integer_kernel([(2 ** 63,), (-1,)]).basis == ((1, 2 ** 63),)
+
+
+def _witness_with(entry):
+    """verify_witness on the 15-path certificate with its first nonzero
+    minus entry replaced by entry."""
+    cert = list(classify_path(15, 1).certificate)
+    k = next(k for k in sorted(path_support_partition(15, 1).minus) if cert[k - 1])
+    cert[k - 1] = entry
+    return verify_witness(15, 1, tuple(cert))
+
+
+# Each returns a value that shows whether the entry was read exactly.
+_INTEGER_GATES = {
+    "integer_kernel": lambda x: integer_kernel([(x,), (1,)]).basis,
+    "_product_is_zero": lambda x: [
+        relation_lattice._product_is_zero([(x,), (1,)], ((1, -shift),))
+        for shift in (2 ** 63 + 4, 2 ** 63 + 5, 2 ** 63 + 6, 0, 1, 3)],
+    "verify_witness": _witness_with,
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_INTEGER_GATES))
+@pytest.mark.parametrize("entry,exact", [
+    (0.5, None), (1.0, None), (Fraction(1), None), ("1", None),
+    (True, 1), (np.int32(3), 3), (np.uint64(2 ** 63 + 5), 2 ** 63 + 5),
+], ids=["half", "float-one", "fraction", "string", "bool", "int32", "uint64-past-int64"])
+def test_one_integer_gate(gate, entry, exact):
+    # the int64 cast read 0.5 as 0, so _product_is_zero([[0.5]], [[1]]) held
+    run = _INTEGER_GATES[gate]
+    if exact is None:
+        with pytest.raises(ValueError, match="integers"):
+            run(entry)
+    else:
+        assert run(entry) == run(exact)
 
 
 def test_uint64_entries_past_int64_are_not_wrapped():

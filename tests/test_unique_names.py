@@ -1,6 +1,7 @@
 """A module that defines a top-level name twice keeps only the second
 definition: a shadowed test never runs and a shadowed function is dead
-code, with no warning from pytest or Python."""
+code, with no warning from pytest or Python. An import that nothing reads
+is dead code of the same kind."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -30,3 +31,32 @@ def test_duplicate_definitions_are_found():
               "async def test_a():\n    pass\n\ndef c():\n    def c():\n"
               "        pass\n")
     assert _duplicate_definitions(source) == ["test_a"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import (other than from __future__) that the
+    module never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+# a package's __init__ imports names to re-export them
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport numbers\n"
+              "import numpy as np\nimport os.path\nfrom math import pi, tau\n"
+              "def f(x: np.ndarray):\n    import sys\n    return os.path.join(tau)\n")
+    assert _unused_imports(source) == ["numbers", "pi", "sys"]
