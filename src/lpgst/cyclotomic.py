@@ -206,10 +206,9 @@ class CycloElement:
 MAX_TABLE_N = 2048
 
 
-# Callers work on one n at a time, so one table is kept: witness checks of
-# several a per n hit it (189 of 252 calls on a perfbench witness_large_n
-# pass, the same with 4 slots), and the cross-check band, which alternates
-# n, misses with 1 slot or 4.
+# The lattice route works on one n at a time and reads the table once per
+# decision, so one table is kept; the cross-check band, which alternates n,
+# misses with 1 slot or 4. Witness checks read no table.
 @functools.lru_cache(maxsize=1)
 def theta_table(n: int) -> np.ndarray:
     """Exact coefficients of every path eigenvalue for one n, as one array.

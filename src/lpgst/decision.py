@@ -13,16 +13,23 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cyclotomic import MAX_TABLE_N, _prime_factors, theta_table
+import numpy as np
+
+from .cyclotomic import MAX_TABLE_N, _max_abs, _prime_factors
 from .pair_states import path_support_partition
-from .relation_lattice import (_exact_array, _product_is_zero,
-                               build_relation_system, integer_kernel,
-                               parity_holds)
+from .relation_lattice import (_exact_array, build_relation_system,
+                               integer_kernel, parity_holds)
 
 RULE_POWER_OF_TWO = "power-of-two"
 RULE_ODD_PRIME = "odd-prime"
 RULE_TWO_POWER_TIMES_PRIME = "two-power-times-prime"
 RULE_ODD_COMPOSITE = "odd-composite-factor"
+
+# Largest n a no-instance's witness is built for, checked before any O(n)
+# object. Building and re-verifying one is linear in n: classify_path then
+# verify_witness at n = 2**20 - 1 takes 12 + 133 ms and peaks at 164 MB in
+# a child process (2-core x86-64 VM), below the 280 MB of decide --n 2047.
+MAX_WITNESS_N = 2 ** 20
 
 
 class SamePairError(ValueError):
@@ -163,15 +170,16 @@ def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
     for the first odd prime p of r dividing n / gcd(a, n).
     Alternating-cosine cancellation makes the eigenvalue sum vanish while
     exactly one minus-position survives. A no-instance with n above
-    MAX_TABLE_N is refused before the O(n) vector is built.
+    MAX_WITNESS_N is refused before the O(n) vector is built; below it,
+    verify_witness re-verifies the vector in O(n), with no eigenvalue table.
     """
     _validate_instance(n, a)
     cls = path_class(n, a)
     if cls.has_lpgst:
         return None
-    if n > MAX_TABLE_N:       # verify_witness could not re-verify the vector
+    if n > MAX_WITNESS_N:
         raise ValueError(
-            f"n must be at most {MAX_TABLE_N} for a witness, got {n}")
+            f"n must be at most {MAX_WITNESS_N} for a witness, got {n}")
     block = 2 ** cls.two_power_exponent
     if cls.kind == RULE_ODD_COMPOSITE:
         reduced = n // math.gcd(a, n)
@@ -194,27 +202,61 @@ def _residue_witness(n: int, block: int) -> tuple[int, ...]:
 def verify_witness(n: int, a: int, relation: tuple[int, ...]) -> WitnessCheck:
     """Re-verify a witness vector with exact arithmetic.
 
-    Checks the zero-sum constraint, the exact cyclotomic vanishing of the
-    eigenvalue combination (the integer product the kernel re-verification
-    runs, over the eigenvalues the vector uses), odd minus-parity, and
-    that the vector is supported only on support eigenvalue indices.
+    Checks the zero-sum constraint, the exact vanishing of the eigenvalue
+    combination (by _theta_sums_vanish, which reads no eigenvalue table,
+    so a wrong table cannot certify its own kernel), odd minus-parity, and
+    that the vector is supported only on support eigenvalue indices. Runs
+    in O(n).
     """
     if len(relation) != n - 1:
         raise ValueError(
             f"witness must have length {n - 1} for n={n}, got {len(relation)}")
-    relation = _exact_array([relation])[0].tolist()     # exact Python ints
+    rows = _exact_array([relation])
+    relation = rows[0].tolist()                     # exact Python ints
     part = path_support_partition(n, a)
-    sum_zero = sum(relation) == 0
-    used = [i for i, v in enumerate(relation) if v]         # positions k - 1
-    relation_zero = _product_is_zero(theta_table(n)[used],
-                                     [[relation[i] for i in used]])
     sigma_sum = sum(relation[k - 1] for k in part.minus)
     off_support_zero = all(
         relation[k - 1] == 0 for k in part.excluded if 1 <= k <= n - 1)
-    return WitnessCheck(sum_zero=sum_zero, relation_zero=relation_zero,
+    return WitnessCheck(sum_zero=sum(relation) == 0,
+                        relation_zero=bool(_theta_sums_vanish(n, rows)[0]),
                         parity_odd=sigma_sum % 2 != 0,
                         off_support_zero=off_support_zero,
                         sigma_sum=sigma_sum)
+
+
+def _theta_sums_vanish(n: int, relations: np.ndarray) -> np.ndarray:
+    """Per row v (entries k = 1..n-1) of an int64 or object array, whether
+    sum_k v_k * (2 - 2 cos(k pi / n)) is exactly zero.
+
+    With N = 2n, g = sum_k v_k (x^k + x^(N-k)) - 2 sum_k v_k takes minus
+    that value at z = exp(i pi / n). An integer g vanishing at z vanishes
+    at every primitive N-th root (its Galois conjugates); the product of
+    x^(N/p) - 1 over the primes p of N vanishes at exactly the other N-th
+    roots, and x^N - 1 has simple roots. So the sum is zero iff g times
+    that product is 0 mod x^N - 1 (Lam and Leung, J. Algebra 224, 2000).
+    Each factor is one cyclic shift and one subtraction, and at most
+    doubles max|g|: the product runs in int64 while max|g| * 2^(number of
+    primes) < 2**63, on Python ints otherwise.
+    """
+    size = 2 * n
+    primes = _prime_factors(size)
+    if relations.dtype != object and 2 * n * _max_abs(relations) >= 2 ** 63:
+        relations = relations.astype(object)    # 2 * a row sum could wrap
+    totals = relations.sum(axis=1)
+    peak = max(_max_abs(relations), 2 * _max_abs(totals))          # max|g|
+    g = np.zeros((len(relations), size),
+                 dtype=np.int64 if peak << len(primes) < 2 ** 63 else object)
+    g[:, 0] = -2 * totals
+    g[:, 1:n] = relations
+    g[:, n + 1:] = relations[:, ::-1]
+    for p in primes:
+        shift = size // p
+        product = np.empty_like(g)                  # x^shift * g - g
+        product[:, shift:] = g[:, :size - shift]
+        product[:, :shift] = g[:, size - shift:]
+        product -= g
+        g = product
+    return ~g.any(axis=1)
 
 
 def alternating_cosine_residual(n: int, k: int, m: int, c: int) -> float:

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectra import check_vertex_count
+
 
 class GraphParseError(ValueError):
     """Raised on malformed edge-list input; carries the 1-based line number."""
@@ -71,7 +73,9 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: "n <count>" then "e <u> <v>" lines.
 
     Lines starting with "#" are comments; blank lines are skipped.
-    Raises GraphParseError with the offending line number.
+    Raises GraphParseError with the offending line number, and the
+    ValueError of spectra.check_vertex_count as soon as the header asks for
+    more vertices than a spectrum is built for, before any edge is read.
     """
     n = None
     edges: set[tuple[int, int]] = set()
@@ -91,6 +95,7 @@ def parse_graph(text: str) -> Graph:
                     f"vertex count {fields[1]!r} is not an integer", lineno) from None
             if n < 1:
                 raise GraphParseError(f"vertex count must be positive, got {n}", lineno)
+            check_vertex_count(n)
             continue
         if fields[0] != "e" or len(fields) != 3:
             raise GraphParseError(f"expected 'e <u> <v>', got {line!r}", lineno)

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpgst import _kernels, cli, spectra
+from lpgst import _kernels, cli, cyclotomic, spectra
 from lpgst.cli import (MAX_CLASSIFY_WORK, TRACE_BLOCK, _classify_work,
                        _csv_block, _json_block, _round12, main)
-from lpgst.cyclotomic import MAX_TABLE_N
+from lpgst.cyclotomic import MAX_TABLE_N, IntPolynomial, theta_table
 from lpgst.decision import classify_path, verify_witness
 from lpgst.graphs import laplacian
 from lpgst.pair_states import MAX_SWEEP_STEPS, fidelity_sweep
@@ -555,6 +555,18 @@ def test_sweep_vertex_limit_both_sides(tmp_path, capsys, monkeypatch):
     assert built == [6]     # the refused graph never reached laplacian
 
 
+def test_sweep_graph_vertex_count_refused_at_its_header(tmp_path, capsys):
+    # the malformed line after the header is never parsed
+    (tmp_path / "g.txt").write_text("n 3000\ne 1\n" + "e 1 2\n" * 1000)
+    code, out, err = _run(capsys, ["sweep", "--graph", str(tmp_path / "g.txt"),
+                                   "--from", "1,2", "--to", "2,3",
+                                   "--tmax", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: n must be at most {MAX_SPECTRUM_N} "
+                          "for a spectrum, got 3000")
+
+
 @pytest.mark.parametrize("source", ["path", "graph"])
 def test_sweep_above_vertex_limit_exits_2(tmp_path, capsys, source):
     # 10**9 vertices: an n x n float64 array would need 8 EB
@@ -670,6 +682,35 @@ def test_decide_certificate_failing_reverification_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cross_check", fake_cross_check)
     code, out, err = _run(capsys, ["decide", "--n", "4", "--a", "1", "--certificate"])
+    assert code == 3
+    assert out == ""
+    [line] = [x for x in err.splitlines() if x.startswith("error:")]
+    assert "relation_zero" in line
+
+
+def _flipped_theta_rows(n, phi):
+    """Rows 2 - x^k - x^(n-k) mod phi: cyclotomic._theta_rows with the sign
+    of its x^(n-k) term flipped, so every eigenvalue image is wrong."""
+    modulus = IntPolynomial(tuple(phi.tolist()))
+    rows = np.zeros((n - 1, len(phi) - 1), dtype=np.int64)
+    for k in range(1, n):
+        poly = (IntPolynomial((2,)) + IntPolynomial((0,) * k + (-1,))
+                + IntPolynomial((0,) * (n - k) + (-1,)))
+        coeffs = divmod(poly, modulus)[1].coefficients
+        rows[k - 1, :len(coeffs)] = coeffs
+    return rows
+
+
+def test_decide_certificate_from_a_wrong_table_exits_3(capsys, monkeypatch):
+    # the lattice route eliminates the wrong table and finds a "relation";
+    # the certificate check reads no table, so it is not fooled
+    monkeypatch.setattr(cyclotomic, "_theta_rows", _flipped_theta_rows)
+    theta_table.cache_clear()
+    try:
+        code, out, err = _run(capsys, ["decide", "--n", "9", "--a", "1",
+                                       "--certificate"])
+    finally:
+        theta_table.cache_clear()
     assert code == 3
     assert out == ""
     [line] = [x for x in err.splitlines() if x.startswith("error:")]

@@ -1,20 +1,22 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpgst import decision
-from lpgst.cyclotomic import MAX_TABLE_N
-from lpgst.decision import (RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
+from lpgst import cyclotomic, decision
+from lpgst.cyclotomic import MAX_TABLE_N, theta_table
+from lpgst.decision import (MAX_WITNESS_N, RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
                             RULE_POWER_OF_TWO, RULE_TWO_POWER_TIMES_PRIME,
                             SamePairError, alternating_cosine_residual,
                             classify_path, cross_check, decide_path_lpgst,
                             factor_two_power, path_class, verify_witness,
                             witness_relation)
 from lpgst.pair_states import path_support_partition
-from lpgst.relation_lattice import build_relation_system, integer_kernel
+from lpgst.relation_lattice import (_exact_array, _product_is_zero,
+                                    build_relation_system, integer_kernel)
 
 
 def test_factor_two_power():
@@ -125,24 +127,31 @@ def test_witness_relation_none_for_yes_instances():
     assert witness_relation(6, 1) is None
 
 
-def test_witness_relation_refuses_n_above_table_bound(monkeypatch):
-    # verify_witness could not re-verify such a vector, and no O(n) vector
-    # or support set is built first: the builders are patched to raise
+def test_witness_relation_refuses_n_above_witness_bound(monkeypatch):
+    # no O(n) vector or support set is built before the refusal: the
+    # builders are patched to raise
     def built(*args):
         raise AssertionError("an O(n) object was built")
 
-    monkeypatch.setattr(decision, "_residue_witness", built)
-    monkeypatch.setattr(decision, "path_support_partition", built)
-    for n in (MAX_TABLE_N + 1, 10 ** 9):          # composite odd parts
-        assert path_class(n, 1).kind == RULE_ODD_COMPOSITE
-        with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
-            witness_relation(n, 1)
-        with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
-            classify_path(n, 1)
-    # yes-verdicts need no vector and stay O(1) at any n
-    assert witness_relation(2 ** 40, 3) is None
-    verdict = classify_path(2 ** 40, 3)
-    assert verdict.has_lpgst and verdict.certificate is None
+    with monkeypatch.context() as patch:
+        patch.setattr(decision, "_residue_witness", built)
+        patch.setattr(decision, "path_support_partition", built)
+        for n in (MAX_WITNESS_N + 1, 10 ** 9):        # composite odd parts
+            assert path_class(n, 1).kind == RULE_ODD_COMPOSITE
+            with pytest.raises(ValueError, match=f"at most {MAX_WITNESS_N}"):
+                witness_relation(n, 1)
+            with pytest.raises(ValueError, match=f"at most {MAX_WITNESS_N}"):
+                classify_path(n, 1)
+        # yes-verdicts need no vector and stay O(1) at any n
+        assert witness_relation(2 ** 40, 3) is None
+        verdict = classify_path(2 ** 40, 3)
+        assert verdict.has_lpgst and verdict.certificate is None
+    # past the eigenvalue table's bound a no-instance still gets a
+    # certificate that re-verifies
+    assert path_class(MAX_TABLE_N + 1, 1).kind == RULE_ODD_COMPOSITE
+    checks = verify_witness(MAX_TABLE_N + 1, 1,
+                            classify_path(MAX_TABLE_N + 1, 1).certificate)
+    assert all(checks[:4])
 
 
 def test_witness_relation_two_power_times_prime_necessity():
@@ -227,6 +236,102 @@ def test_verify_witness_exact_on_entries_past_int64(scale):
     assert checks.sigma_sum == verify_witness(15, 1, cert).sigma_sum * 2 ** 62
     wide[k] += 1
     assert not verify_witness(15, 1, tuple(wide)).relation_zero
+
+
+def _kernel_rows(n, a):
+    """The lattice route's kernel basis for (n, a), one row per vector,
+    expanded to the entries k = 1..n-1."""
+    columns, _, index_map = build_relation_system(n, path_support_partition(n, a))
+    lattice = integer_kernel(columns, index_map)
+    rows = np.zeros((lattice.rank, n - 1), dtype=np.int64)
+    rows[:, np.array(index_map) - 1] = np.array(
+        lattice.basis, dtype=np.int64).reshape(lattice.rank, lattice.dimension)
+    return rows
+
+
+def _assert_root_check_matches_table(ns, seed):
+    """On every kernel basis vector of every valid (n, a), and on one seeded
+    e_i - e_j perturbation of each, the table-free check gives the answer
+    of the table product."""
+    rng = random.Random(seed)
+    for n in ns:
+        table = theta_table(n)
+        for a in range(1, n):
+            if 2 * a == n:
+                continue
+            basis = _kernel_rows(n, a)
+            # a whole basis per call: every vector vanishes under both
+            assert _product_is_zero(table, basis), (n, a)
+            assert decision._theta_sums_vanish(n, basis).all(), (n, a)
+            moved = basis.copy()
+            for row in moved:
+                i, j = rng.sample(range(n - 1), 2)
+                row[i] += 1
+                row[j] -= 1
+            expected = [_product_is_zero(table, [row]) for row in moved]
+            assert decision._theta_sums_vanish(n, moved).tolist() == expected, (n, a)
+
+
+def test_root_check_matches_table_product():
+    _assert_root_check_matches_table(range(3, 65), seed=0)
+
+
+@pytest.mark.slow
+def test_root_check_matches_table_product_65_to_256():
+    _assert_root_check_matches_table(range(65, 257), seed=1)
+
+
+@st.composite
+def _kernel_combinations(draw):
+    n = draw(st.integers(3, 64))
+    a = draw(st.integers(1, n - 1).filter(lambda a: 2 * a != n))
+    basis = _kernel_rows(n, a)
+    coefficients = draw(st.lists(st.integers(-2 ** 70, 2 ** 70),
+                                 min_size=len(basis), max_size=len(basis)))
+    vec = [0] * (n - 1)
+    for c, row in zip(coefficients, basis.tolist()):
+        vec = [v + c * r for v, r in zip(vec, row)]
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2,
+                             unique=True))
+        vec[i] += 1
+        vec[j] -= 1
+    return n, vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_combinations())
+def test_root_check_matches_table_product_on_combinations(instance):
+    # coefficients up to 2**70 put some vectors past int64, where both
+    # checks take their Python-int route
+    n, vec = instance
+    got = decision._theta_sums_vanish(n, _exact_array([vec]))
+    assert got.tolist() == [_product_is_zero(theta_table(n), [vec])]
+
+
+def test_verify_witness_reads_no_eigenvalue_table(monkeypatch):
+    def built(*args):
+        raise AssertionError("an eigenvalue table was built")
+
+    theta_table.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_theta_rows", built)
+    monkeypatch.setattr(cyclotomic, "_cyclotomic_array", built)
+    for n in (2047, 2049):                      # both sides of MAX_TABLE_N
+        cert = classify_path(n, 1).certificate
+        assert all(verify_witness(n, 1, cert)[:4])
+        moved = list(cert)
+        moved[0] += 1
+        moved[1] -= 1
+        assert not verify_witness(n, 1, tuple(moved)).relation_zero
+
+
+def test_verify_witness_product_does_not_wrap():
+    # w is no relation, but its root-of-unity product has entries 0 and +-4:
+    # at 2**62 * w they are 0 and +-2**64, which an int64 product would wrap
+    # to a false zero
+    w = (-1, -1, 0, -1, 1, 0, 1, 1)
+    assert not verify_witness(9, 1, w).relation_zero
+    assert not verify_witness(9, 1, tuple(c * 2 ** 62 for c in w)).relation_zero
 
 
 def test_verify_witness_rejects_non_integer_entries():
