@@ -46,33 +46,153 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-def _json_block(values: np.ndarray) -> str:
-    """The items of json.dumps([_round12(x) for x in values]), formatted in
-    one call.
+def _fields(values: np.ndarray, json_items: bool) -> np.ndarray:
+    """The token of each value by the per-value rule, one row of eight
+    uint32 words (NUL-padded) per value.
 
-    %.12g writes the bytes repr writes for the rounded value, except for
-    bare integers, which lack ".0" and come only from values within 1e-11
-    (relative) of an integer; exponent forms for exponents 12..15, which
-    repr writes positionally and which need a magnitude of 1e11 or more;
-    and subnormals. Those values go through "%s" as repr(_round12(x)).
+    The rule is %.12g, and in JSON the item json.dumps writes for
+    _round12(x), repr(float("%.12g" % x)). %.12g writes the bytes repr
+    writes for the rounded value, except for bare integers, which lack
+    ".0" and come only from values within 1e-11 (relative) of an integer;
+    exponent forms for exponents 12..15, which repr writes positionally
+    and which need a magnitude of 1e11 or more; and subnormals. In JSON
+    those values go through "%s" as repr(_round12(x)). A token has at most
+    19 bytes ("-1.23456789012e-308", "-1234567890120000.0"), so it is
+    formatted left-justified in 32, and the spaces become NULs.
     """
     items = values.tolist()
-    fmt = ["%.12g"] * len(items)
-    mag = np.abs(values)
-    special = ((np.abs(values - np.rint(values)) <= 1e-11 * mag)
-               | (mag >= 1e11) | (mag < _TINY))
-    for i in np.flatnonzero(special).tolist():
-        fmt[i] = "%s"
-        items[i] = repr(_round12(items[i]))
-    return ", ".join(fmt) % tuple(items)
+    fmt = [b"%-32.12g"] * len(items)
+    if json_items:
+        mag = np.abs(values)
+        special = ((np.abs(values - np.rint(values)) <= 1e-11 * mag)
+                   | (mag >= 1e11) | (mag < _TINY))
+        for i in np.flatnonzero(special).tolist():
+            fmt[i] = b"%-32s"
+            items[i] = repr(_round12(items[i])).encode("ascii")
+    text = np.frombuffer(b"".join(fmt) % tuple(items), dtype=np.uint8)
+    return np.where(text == ord(" "), 0, text).view(np.uint32).reshape(-1, 8)
+
+
+def _words(texts: list[str]) -> np.ndarray:
+    """Each ASCII text of at most 4 bytes as one uint32 word, NUL-padded
+    on the right; the padding is deleted from the finished text."""
+    return np.array(texts, dtype="S4").view(np.uint32)
+
+
+# Four digits per word, from 10,000-entry tables: index d is d as "%04d";
+# index 10000 + d is the same word when a digit of the number lies beyond
+# it on the side the zeros would be stripped from, so they are kept.
+_DIGITS = ["%04d" % d for d in range(10000)]
+_PLAIN = _words(_DIGITS)
+_LEADING = np.concatenate([_words([d.lstrip("0").rjust(4, "\0")
+                                   for d in _DIGITS]), _PLAIN])
+_TRAILING = np.concatenate([_words([d.rstrip("0") for d in _DIGITS]), _PLAIN])
+# the units word of an integer part below 1 is "0"; the first fraction word
+# of an integer-valued JSON item is "0" (it writes "2.0")
+_UNITS = _LEADING.copy()
+_UNITS[0] = _words(["0".rjust(4, "\0")])[0]
+_TRAILING_JSON = _TRAILING.copy()
+_TRAILING_JSON[0] = _words(["0"])[0]
+_POINT = _words(["."])[0]
+_POW10 = 10.0 ** np.arange(16)
+_POW10_INT = 10 ** np.arange(16, dtype=np.int64)
+
+# Values formatted at a time: _digit_words's temporaries of 64 KB are
+# reused from the heap, where 65,536-value ones were mapped afresh (page
+# faults) on every call, and the piece's words stay in cache.
+_PIECE = 8192
+
+
+def _digit_words(values: np.ndarray, out: np.ndarray, json_items: bool) -> np.ndarray:
+    """Write the token of each value with 1e-4 <= x < 1e11 into its row of
+    out, eight uint32 words (integer part, point, fraction; NUL-padded),
+    and return the mask of the rows written. The other rows are left to
+    the per-value rule.
+
+    %.12g writes these values positionally, and repr the rounded ones, so
+    a token is the correctly rounded 12-digit mantissa M = round(x *
+    10^(11-e)), e the decimal exponent, with the point after e + 1 digits
+    and trailing fraction zeros stripped; JSON keeps ".0" and CSV drops
+    the point of an integer. s = x * 10^(11-e) < 2^40 is one multiply by
+    an exact power, off by at most 2^-14, so its nearest integer is M
+    unless it lies within 1e-3 of a tie; those rows are left out. A log10
+    one off in either direction puts s below 1e11 or its nearest integer
+    at 1e12 or above, which leaves the row out too (an s rounded up to
+    1e11 exactly comes from an x that rounds to 10^e, whose token it gives).
+    """
+    fits = (values >= 1e-4) & (values < 1e11)
+    if not fits.any():
+        return fits
+    x = np.where(fits, values, 1.0)
+    e = np.floor(np.log10(x)).astype(np.intp)
+    np.clip(e, -4, 10, out=e)       # table indices, should log10 round at an end
+    scale = _POW10.take(11 - e)
+    s = x * scale
+    mantissa = np.rint(s)
+    fits &= (np.abs(s - mantissa) < 0.499) & (s >= 1e11) & (mantissa < 1e12)
+    # the integer part (below 1e11) and the fraction's digits left-aligned
+    # to 16 places, both exact: mantissa and scale are integers below 2^53
+    whole = np.floor(mantissa / scale)
+    frac = (mantissa - whole * scale).astype(np.int64) * _POW10_INT.take(5 + e)
+    whole = whole.astype(np.int64)
+    w0 = whole // 10 ** 8
+    w12 = whole - w0 * 10 ** 8
+    w1 = w12 // 10000
+    w2 = w12 - w1 * 10000
+    out[:, 0] = _LEADING.take(w0)
+    out[:, 1] = _LEADING.take(w1 + 10000 * (w0 != 0))
+    out[:, 2] = _UNITS.take(w2 + 10000 * (whole >= 10000))
+    f01 = frac // 10 ** 8
+    f23 = frac - f01 * 10 ** 8
+    f0 = f01 // 10000
+    f1 = f01 - f0 * 10000
+    f2 = f23 // 10000
+    f3 = f23 - f2 * 10000
+    out[:, 7] = _TRAILING.take(f3)
+    out[:, 6] = _TRAILING.take(f2 + 10000 * (f3 != 0))
+    out[:, 5] = _TRAILING.take(f1 + 10000 * (f23 != 0))
+    first = _TRAILING_JSON if json_items else _TRAILING
+    out[:, 4] = first.take(f0 + 10000 * ((f1 != 0) | (f23 != 0)))
+    out[:, 3] = _POINT if json_items else np.where(frac != 0, _POINT, 0)
+    return fits
+
+
+def _trace_text(columns: list[np.ndarray], separators: list[str],
+                json_items: bool) -> str:
+    """Row i holds the token of columns[j][i] followed by separators[j] for
+    each j; the text is the rows joined, without the last separator.
+
+    _PIECE rows at a time, _digit_words writes the tokens it can as uint32
+    words and _fields the others, spliced in by one assignment; deleting
+    the NUL padding leaves the piece's text.
+    """
+    n = columns[0].size
+    buffer = np.empty((min(n, _PIECE), len(columns), 9), dtype=np.uint32)
+    buffer[:, :, 8] = _words(separators)
+    pieces = []
+    for s in range(0, n, _PIECE):
+        words = buffer[:n - s]
+        part = [values[s:s + _PIECE] for values in columns]
+        built = np.stack([_digit_words(values, words[:, j, :8], json_items)
+                          for j, values in enumerate(part)], axis=1)
+        rest = np.flatnonzero(~built)
+        if rest.size:
+            tokens = words.reshape(-1, 9)               # in text order
+            tokens[rest, :8] = _fields(np.stack(part, axis=1).ravel()[rest], json_items)
+        if s + _PIECE >= n:
+            words[-1, -1, 8] = 0
+        pieces.append(words.tobytes().translate(None, b"\0"))
+    return b"".join(pieces).decode("ascii")
+
+
+def _json_block(values: np.ndarray) -> str:
+    """The items of json.dumps([_round12(x) for x in values])."""
+    return _trace_text([values], [", "], json_items=True)
 
 
 def _csv_block(times: np.ndarray, fidelities: np.ndarray) -> str:
     """CSV rows "%.12g,%.12g" of times and fidelities, joined by newlines."""
-    pairs = np.empty(2 * times.size)
-    pairs[0::2] = times
-    pairs[1::2] = fidelities
-    return "\n".join(["%.12g,%.12g"] * times.size) % tuple(pairs.tolist())
+    return _trace_text([times, fidelities], [",", "\n"], json_items=False)
 
 
 def _parse_span(text: str) -> range:
@@ -226,7 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             n, source = args.path, f"path:{args.path}"
         else:
             with open(args.graph, encoding="utf-8") as fh:
-                graph = parse_graph(fh.read())
+                graph = parse_graph(fh)
             n, source = graph.n, args.graph
         check_vertex_count(n)       # before either spectrum allocates n x n
         for pair in (args.from_pair, args.to_pair):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import MAX_TABLE_N, _max_abs, _prime_factors
-from .pair_states import path_support_partition
+from .pair_states import exclusion_period, path_support_partition
 from .relation_lattice import (_exact_array, build_relation_system,
                                integer_kernel, parity_holds)
 
@@ -213,10 +213,13 @@ def verify_witness(n: int, a: int, relation: tuple[int, ...]) -> WitnessCheck:
             f"witness must have length {n - 1} for n={n}, got {len(relation)}")
     rows = _exact_array([relation])
     relation = rows[0].tolist()                     # exact Python ints
-    part = path_support_partition(n, a)
-    sigma_sum = sum(relation[k - 1] for k in part.minus)
-    off_support_zero = all(
-        relation[k - 1] == 0 for k in part.excluded if 1 <= k <= n - 1)
+    # entry k - 1 holds index k. The minus indices are the even k that the
+    # exclusion period q does not divide, so both sets are progressions:
+    # the even multiples of q are the multiples of lcm(2, q).
+    q = exclusion_period(n, a)
+    even_q = q if q % 2 == 0 else 2 * q
+    sigma_sum = sum(relation[1::2]) - sum(relation[even_q - 1::even_q])
+    off_support_zero = not any(relation[q - 1::q])
     return WitnessCheck(sum_zero=sum(relation) == 0,
                         relation_zero=bool(_theta_sums_vanish(n, rows)[0]),
                         parity_odd=sigma_sum % 2 != 0,

@@ -6,6 +6,7 @@ that need spectra.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,17 +70,23 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(source: str | Iterable[str]) -> Graph:
     """Parse the edge-list format: "n <count>" then "e <u> <v>" lines.
 
-    Lines starting with "#" are comments; blank lines are skipped.
-    Raises GraphParseError with the offending line number, and the
-    ValueError of spectra.check_vertex_count as soon as the header asks for
-    more vertices than a spectrum is built for, before any edge is read.
+    source is the whole text or its lines, such as an open text file, which
+    is read one line at a time. Either way lines are split as
+    str.splitlines splits them. Lines starting with "#" are comments; blank
+    lines are skipped. Raises GraphParseError with the offending line
+    number, and the ValueError of spectra.check_vertex_count as soon as the
+    header asks for more vertices than a spectrum is built for, before any
+    line after it is read.
     """
+    if isinstance(source, str):
+        source = [source]
+    lines = (line for chunk in source for line in chunk.splitlines())
     n = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

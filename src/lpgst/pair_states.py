@@ -18,7 +18,7 @@ SUPPORT_TOL = 1e-8
 # allocated: 10M points already take 160 MB of times and fidelities. With
 # spectra.MAX_SPECTRUM_N it bounds a sweep's cost; the worst accepted CLI
 # sweep on a 2-core x86-64 VM, sweep --path 1024 --steps 10000000, takes
-# 10-12 s and peaks at 267 MB in CSV and in JSON.
+# about 10 s and peaks at 207 MB in CSV and in JSON.
 MAX_SWEEP_STEPS = 10_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -129,6 +129,15 @@ def strong_cospectrality(s: Spectrum, p1: tuple[int, int],
     return SupportPartition(frozenset(plus), frozenset(minus), frozenset(excluded))
 
 
+def exclusion_period(n: int, a: int) -> int:
+    """n / gcd(a, n): the mirror edge pairs {a,a+1}, {n-a,n-a+1} exclude
+    exactly the path indices k that this period divides. Raises ValueError
+    unless 1 <= a <= n - 1."""
+    if not 1 <= a <= n - 1:
+        raise ValueError(f"a must lie in 1..{n - 1}, got {a}")
+    return n // math.gcd(a, n)
+
+
 def path_support_partition(n: int, a: int) -> SupportPartition:
     """Exact sign partition for the mirror edge pairs {a,a+1}, {n-a,n-a+1}.
 
@@ -136,9 +145,7 @@ def path_support_partition(n: int, a: int) -> SupportPartition:
     is iff n / gcd(a, n) divides k; otherwise it lands in plus for odd k
     and minus for even k.
     """
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"a must lie in 1..{n - 1}, got {a}")
-    excluded = frozenset(range(0, n, n // math.gcd(a, n)))
+    excluded = frozenset(range(0, n, exclusion_period(n, a)))
     return SupportPartition(plus=frozenset(range(1, n, 2)) - excluded,
                             minus=frozenset(range(0, n, 2)) - excluded,
                             excluded=excluded)
@@ -176,8 +183,10 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     if not math.isfinite(t_max * float(np.abs(thetas).max())):
         raise ValueError(
             f"t_max times the largest eigenvalue must be finite, got t_max={t_max}")
-    times = np.linspace(0.0, float(t_max), steps)
-    fids = np.clip(_kernels.fidelity_grid(thetas, c, times), 0.0, 1.0)
+    # an owned copy, so the refined point can be inserted in place
+    times = np.linspace(0.0, float(t_max), steps).copy()
+    fids = _kernels.fidelity_grid(thetas, c, times)
+    np.clip(fids, 0.0, 1.0, out=fids)
 
     best = int(np.argmax(fids))
     dt = float(t_max) / (steps - 1)
@@ -189,12 +198,25 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     pos = int(np.searchsorted(times, t_ref))
     # a refined time that rounds onto a grid time would repeat that time
     if f_ref > fids[best] and t_ref not in times[pos:pos + 1]:
-        times = np.insert(times, pos, t_ref)
-        fids = np.insert(fids, pos, f_ref)
+        _insert_in_place(times, pos, t_ref)
+        _insert_in_place(fids, pos, f_ref)
         best = pos
     return FidelityTrace(times=times, fidelities=fids,
                          sup_estimate=float(fids[best]),
                          argmax_time=float(times[best]))
+
+
+def _insert_in_place(values: np.ndarray, pos: int, value: float) -> None:
+    """Insert value before values[pos], growing the array by one.
+
+    np.insert would hold a second copy of the array while it builds the
+    result; resize reallocates the buffer in place, and numpy copies an
+    overlapping 1-d slice of the same stride direction without a
+    temporary. values must own its data and have no views.
+    """
+    values.resize(values.size + 1, refcheck=False)
+    values[pos + 1:] = values[pos:-1]
+    values[pos] = value
 
 
 def _fidelity_at(thetas: np.ndarray, weights: np.ndarray, t: float) -> float:

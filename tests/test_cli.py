@@ -381,6 +381,18 @@ _finite_doubles = st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
 @example([0.0, -0.0, 1.0, 1e12, 999999999999.5, 999999999999.4, 123456789012.0,
           9.99999999999995e15, 1e15, 1e16, 5e-324, 1e-4, 1e-5,
           9.99999999999995e-5, 0.1 + 0.2, 2.0 ** 53 + 2])
+# the array-built band 1e-4 <= x < 1e11: mantissas next to a tie, a mantissa
+# that rounds to 10^12, values just below a power of ten (where log10 may
+# round up), both ends of the band, integers (JSON ".0", CSV no point) and
+# zeros in every fraction word
+@example([0.1234567890125, 2.0000000000005, 123456.7890125, 98765432109.5,
+          0.99999999999996, 9999.99999999995, math.nextafter(1e-3, 0),
+          math.nextafter(1.0, 0), math.nextafter(1000.0, 0),
+          math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 1e-4,
+          math.nextafter(1e11, 0), 99999999999.4, 99999999999.5, 1e11,
+          2.0, 300.0, 12345678901.0, 0.5, 10.000000001, 0.000100000000001])
+# a block no value of which is array-built
+@example([0.0, -1.5, 1e-5, 5e-324, 1e11, 1e300, 0.1234567890125])
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_finite_doubles | st.floats(allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=64))
@@ -389,6 +401,32 @@ def test_trace_formatters_match_per_float_formatting(xs):
     assert f"[{_json_block(values)}]" == json.dumps([_round12(x) for x in xs])
     rows = _csv_block(values, values[::-1]).split("\n")
     assert rows == [f"{t:.12g},{f:.12g}" for t, f in zip(values, values[::-1])]
+
+
+def _decade_scan() -> np.ndarray:
+    """The neighbours of every power of ten from 1e-320 to 1e17, and in
+    each of those decades seeded values: full and short mantissas, ties
+    in the twelfth digit and their neighbours, and integers."""
+    powers = 10.0 ** np.arange(-320, 18)
+    rng = np.random.default_rng(20)
+    decades = np.repeat(powers, 12)
+    mantissas = rng.uniform(1.0, 10.0, decades.size)
+    places = 10.0 ** rng.integers(0, 11, decades.size)
+    short = np.rint(mantissas * places) / places
+    ties = (rng.integers(10 ** 11, 10 ** 12, decades.size) + 0.5) / 1e11
+    scan = [np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf),
+            mantissas * decades, short * decades, ties * decades,
+            np.nextafter(ties * decades, 0), np.nextafter(ties * decades, np.inf),
+            np.floor(mantissas * decades[::-1])]
+    return np.concatenate(scan)
+
+
+def test_trace_formatters_match_per_float_formatting_on_decade_scan():
+    values = _decade_scan()
+    xs = values.tolist()
+    assert f"[{_json_block(values)}]" == json.dumps([_round12(x) for x in xs])
+    assert _csv_block(values, values[::-1]) == "\n".join(
+        "%.12g,%.12g" % pair for pair in zip(xs, xs[::-1]))
 
 
 def _one_shot_sweep_stdout(trace, n, frm, to, tmax, steps, fmt):

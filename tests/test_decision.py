@@ -214,6 +214,53 @@ def test_witnesses_verify_and_perturbations_break_them(instance):
     assert not verify_witness(n, a, tuple(moved)).relation_zero
 
 
+def _partition_witness_check(n, a, relation):
+    """verify_witness's flags and sigma_sum summed over the frozensets of
+    path_support_partition: the reference for its slices."""
+    part = path_support_partition(n, a)
+    sigma_sum = sum(relation[k - 1] for k in part.minus)
+    return (sum(relation) == 0,
+            bool(decision._theta_sums_vanish(n, _exact_array([relation]))[0]),
+            sigma_sum % 2 != 0,
+            all(relation[k - 1] == 0 for k in part.excluded if 1 <= k <= n - 1),
+            sigma_sum)
+
+
+def test_verify_witness_slices_match_support_partition():
+    rng = random.Random(64)
+    for n in range(2, 65):
+        for a in range(1, n):
+            relation = [rng.randint(-3, 3) for _ in range(n - 1)]
+            # one vector as drawn, one zero off the support
+            q = n // math.gcd(a, n)
+            clean = [0 if k % q == 0 else v for k, v in enumerate(relation, 1)]
+            for vec in (relation, clean):
+                assert (tuple(verify_witness(n, a, tuple(vec)))
+                        == _partition_witness_check(n, a, vec)), (n, a, vec)
+
+
+@st.composite
+def _instances_with_vectors(draw):
+    n = draw(st.integers(2, 150))
+    a = draw(st.integers(1, n - 1))
+    entries = st.integers(-2 ** 70, 2 ** 70) | st.integers(-2, 2)
+    return n, a, draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances_with_vectors())
+def test_verify_witness_slices_match_support_partition_hypothesis(instance):
+    n, a, relation = instance
+    assert (tuple(verify_witness(n, a, tuple(relation)))
+            == _partition_witness_check(n, a, relation))
+
+
+@pytest.mark.parametrize("a", [0, 9, -1])
+def test_verify_witness_refuses_a_outside_the_path(a):
+    with pytest.raises(ValueError, match="a must lie in 1..8"):
+        verify_witness(9, a, (0,) * 8)
+
+
 def test_verify_witness_length_check():
     with pytest.raises(ValueError, match="length"):
         verify_witness(9, 1, (1, -1))

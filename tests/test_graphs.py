@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from _strategies import graphs
@@ -128,6 +130,25 @@ def test_parse_graph_bad_tokens():
         parse_graph("n 0\n")
     with pytest.raises(GraphParseError, match="line 2: expected 'e <u> <v>'"):
         parse_graph("n 3\nx 1 2\n")
+
+
+def test_parse_graph_reads_no_line_past_a_refused_header():
+    def lines():
+        yield "# more vertices than a spectrum is built for\n"
+        yield "n 3000\n"
+        raise AssertionError("a line past the header was read")
+    with pytest.raises(ValueError, match="n must be at most 1024"):
+        parse_graph(lines())
+
+
+def test_parse_graph_splits_file_lines_as_text():
+    # a form feed ends a line for str.splitlines but not for file iteration
+    text = "n 4\n# comment\ne 1 2\x0ce 2 3\n\ne 3 4\n"
+    assert parse_graph(io.StringIO(text)) == parse_graph(text) == make_path(4)
+    bad = "n 4\ne 1 2\x0ce 2 2\n"
+    for source in (bad, io.StringIO(bad)):
+        with pytest.raises(GraphParseError, match="line 3: self-loop"):
+            parse_graph(source)
 
 
 @settings(max_examples=200, deadline=None)

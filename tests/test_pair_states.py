@@ -12,9 +12,9 @@ from scipy.linalg import expm
 from lpgst import _kernels
 from lpgst.graphs import Graph, laplacian
 from lpgst.pair_states import (MAX_SWEEP_STEPS, NotCospectralError,
-                               fidelity_sweep, pair_fidelity, pair_vector,
-                               path_support_partition, strong_cospectrality,
-                               support, transfer_weights)
+                               _insert_in_place, fidelity_sweep, pair_fidelity,
+                               pair_vector, path_support_partition,
+                               strong_cospectrality, support, transfer_weights)
 from lpgst.spectra import eigendecompose, path_spectrum
 
 SQRT2 = math.sqrt(2.0)
@@ -337,3 +337,29 @@ def test_numeric_path_does_not_build_projectors():
     assert "projectors" not in vars(s)
     assert s.projectors.shape == (5, 8, 8)
     assert "projectors" in vars(s)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 6, 7])
+def test_insert_in_place_matches_np_insert(pos):
+    values = np.arange(7.0) * 0.5
+    want = np.insert(values, pos, -1.0)
+    _insert_in_place(values, pos, -1.0)
+    assert np.array_equal(values, want)
+
+
+def test_sweep_holds_no_third_trace_array():
+    # the grid output is clipped in place and the refined point is inserted
+    # in place, so at most two arrays of the grid's length are alive at once
+    steps = 200_000
+    # puts the transfer time pi/2 of the 3-path halfway between the last two
+    # grid points, so the refined point is inserted
+    t_max = math.pi / 2 * (steps - 1) / (steps - 1.5)
+    s = path_spectrum(3)
+    tracemalloc.start()
+    try:
+        trace = fidelity_sweep(s, (1, 2), (2, 3), t_max, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.times.size == trace.fidelities.size == steps + 1
+    assert peak < 2.5 * 8 * steps
