@@ -8,10 +8,15 @@ reduction (Cohen, A Course in Computational Algebraic Number Theory,
 2.4), so the returned basis generates every integer solution.
 
 The reduction runs on integer arrays, sparsest rows first: int64 while
-every entry stays below 2**31, Python ints otherwise. The re-verification
-is one float64 product while bits(max column entry) + bits(max basis
-entry) + bits(column count) < 53, so every partial sum is an integer below
-2**53 and exact in any summation order; Python ints otherwise.
+every entry stays below 2**31, Python ints otherwise. Most steps have a
+pivot of +-1 and clear the row in one subtraction, with no division; a
+column that survives its row is dead and its system part is zeroed. The
+basis is sign-normalized and sorted as an array, and that array is what
+the re-verification multiplies, before it becomes tuples. The
+re-verification is one float64 product while bits(max column entry) +
+bits(max basis entry) + bits(column count) < 53, so every partial sum is
+an integer below 2**53 and exact in any summation order; Python ints
+otherwise.
 """
 from __future__ import annotations
 
@@ -53,12 +58,16 @@ def integer_kernel(columns: list[tuple[int, ...]],
     span (and saturate) the kernel. The elimination runs in int64 while
     every entry stays below 2**31 and is redone on Python ints (an object
     array) as soon as one does not; the basis is the same either way. The
-    product of the input matrix with the basis is re-verified exactly
-    before returning. Raises ValueError unless every entry is an integer.
+    product of the input matrix with the basis array is re-verified
+    exactly before it is turned into tuples. Raises ValueError unless
+    every entry is an integer and index_map has one entry per column.
     """
     d = len(columns)
     if index_map is None:
         index_map = tuple(range(d))
+    elif len(index_map) != d:
+        raise ValueError(f"index_map has {len(index_map)} entries "
+                         f"for {d} columns")
     if d == 0:
         return RelationLattice(0, (), index_map)
     rows = len(columns[0])
@@ -73,7 +82,7 @@ def integer_kernel(columns: list[tuple[int, ...]],
         basis = _kernel_basis(mat, object)
     if not _product_is_zero(mat, basis):
         raise AssertionError("kernel verification failed")
-    return RelationLattice(d, basis, index_map)
+    return RelationLattice(d, tuple(map(tuple, basis.tolist())), index_map)
 
 
 # int64 elimination is exact while every entry stays below 2**31: a
@@ -82,12 +91,18 @@ def integer_kernel(columns: list[tuple[int, ...]],
 _ELIMINATION_BOUND = 2 ** 31
 
 
-def _kernel_basis(mat: np.ndarray, dtype) -> tuple[tuple[int, ...], ...] | None:
-    """Sorted, sign-normalized kernel basis of the columns in mat.
+def _kernel_basis(mat: np.ndarray, dtype) -> np.ndarray | None:
+    """Sorted, sign-normalized kernel basis of the columns in mat, one
+    vector per row of the returned array.
 
     Works on one (d, rows + d) array of the given dtype: each row holds a
     column of the system followed by its row of the unimodular transform.
-    Returns None when an int64 entry reaches _ELIMINATION_BOUND.
+    A step whose pivot is +-1 clears every other active entry at once
+    (the quotients are the entries times the pivot), so the pivot is the
+    row's survivor with no division and no re-scan. The survivor's column
+    dies and its system part is zeroed, so a row's active columns are its
+    nonzero entries. Every int64 step, unit steps included, is checked:
+    returns None when an entry reaches _ELIMINATION_BOUND.
     """
     d, rows = mat.shape
     work = np.zeros((d, rows + d), dtype=dtype)
@@ -97,30 +112,39 @@ def _kernel_basis(mat: np.ndarray, dtype) -> tuple[tuple[int, ...], ...] | None:
 
     # sparsest first: the dense rows (constant, zero sum) meet few live columns
     for row in np.argsort(np.count_nonzero(mat, axis=0), kind="stable"):
-        active = np.flatnonzero(live & (work[:, row] != 0))
+        active = (work[:, row] != 0).nonzero()[0]
         while active.size > 1:
-            entries = work[active, row]
+            block = work[active]
+            entries = block[:, row]             # a view: follows the step
             # argmin takes the first smallest magnitude, as min(key=abs) does
             at = np.argmin(np.abs(entries))
-            pivot = work[active[at]]
-            quot = entries // pivot[row]
-            quot[2 * np.abs(entries % pivot[row]) > abs(pivot[row])] += 1
+            p = entries[at]
+            unit = p == 1 or p == -1
+            if unit:
+                quot = entries * p
+            else:
+                quot = entries // p
+                quot[2 * np.abs(entries % p) > abs(p)] += 1
             quot[at] = 0
-            reduced = work[active] - np.outer(quot, pivot)
-            if dtype is not object and np.abs(reduced).max() >= _ELIMINATION_BOUND:
+            block -= quot[:, None] * block[at]
+            if dtype is not object and np.abs(block).max() >= _ELIMINATION_BOUND:
                 return None
-            work[active] = reduced
-            active = active[reduced[:, row] != 0]
+            work[active] = block
+            active = active[at:at + 1] if unit else active[entries != 0]
         if active.size:
             live[active[0]] = False
+            work[active[0], :rows] = 0
 
-    assert not work[live, :rows].any()
-    basis = []
-    for vec in work[live, rows:].tolist():
-        first = next((v for v in vec if v != 0), 0)
-        basis.append(tuple(-v for v in vec) if first < 0 else tuple(vec))
-    basis.sort()
-    return tuple(basis)
+    assert not work[:, :rows].any()
+    kernel = work[live, rows:]
+    # each row is nonzero (the transform is unimodular): flip the rows
+    # whose first nonzero entry is negative
+    first = kernel[np.arange(len(kernel)), np.argmax(kernel != 0, axis=1)]
+    kernel[first < 0] *= -1
+    if dtype is object:
+        vecs = kernel.tolist()
+        return kernel[sorted(range(len(vecs)), key=vecs.__getitem__)]
+    return kernel[np.lexsort(kernel.T[::-1])]
 
 
 def _product_is_zero(columns, basis) -> bool:
@@ -199,14 +223,17 @@ def parity_holds(lat: RelationLattice,
 
     sigma . v mod 2 is linear in v, so even parity on a generating set
     extends to the whole lattice. Returns (True, None) or (False, witness)
-    where the witness is a basis vector with odd parity.
+    where the witness is a basis vector with odd parity. Raises
+    ValueError unless sigma has one mark per position, each 0 or 1.
     """
     marks = np.asarray(sigma).tolist()
     if len(marks) != lat.dimension:
         raise ValueError(
             f"parity marks length {len(marks)} does not match "
             f"lattice dimension {lat.dimension}")
+    if not all(m in (0, 1) for m in marks):
+        raise ValueError("parity marks must each be 0 or 1")
     for vec in lat.basis:
-        if sum(s * v for s, v in zip(marks, vec)) % 2 != 0:
+        if sum(itertools.compress(vec, marks)) % 2 != 0:
             return False, vec
     return True, None

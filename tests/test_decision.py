@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -426,8 +427,29 @@ def _assert_certificate_verifies(n, a, verdict):
     assert checks.parity_odd and checks.off_support_zero, (n, a)
 
 
+def _fold_verdict(digest, n, a, verdict):
+    digest.update(repr((n, a, verdict.has_lpgst, verdict.certificate)).encode())
+
+
+# sha256 of every lattice verdict and certificate, folded in (n, a) order;
+# pinned when the elimination gained its unit-pivot steps, so any change to
+# the basis a certificate is drawn from shows here
+_LATTICE_DIGEST_3_TO_64 = "97ab068e22a9c91773ed22be1b5d12ecc23c83ccea905cb439f6219eef59ae3b"
+_LATTICE_DIGEST_61_TO_256 = "502fa7c8cf128de974b17f3eb3030816cdefec3ed9b56c15a190001ad7999da8"
+
+
+def test_lattice_certificates_match_pinned_digest_3_to_64():
+    digest = hashlib.sha256()
+    for n in range(3, 65):
+        for a in range(1, n):
+            if 2 * a != n:
+                _fold_verdict(digest, n, a, decide_path_lpgst(n, a))
+    assert digest.hexdigest() == _LATTICE_DIGEST_3_TO_64
+
+
 @pytest.mark.slow
 def test_cross_check_exhaustive_61_to_256():
+    digest = hashlib.sha256()
     for n in range(61, 257):
         for a in range(1, n):
             if 2 * a == n:
@@ -437,6 +459,8 @@ def test_cross_check_exhaustive_61_to_256():
             assert check.closed_form.has_lpgst == _expected_lpgst(n, a), (n, a)
             if not check.lattice.has_lpgst:
                 _assert_certificate_verifies(n, a, check.lattice)
+            _fold_verdict(digest, n, a, check.lattice)
+    assert digest.hexdigest() == _LATTICE_DIGEST_61_TO_256
 
 
 @pytest.mark.slow

@@ -157,6 +157,20 @@ def test_parity_holds_dimension_check():
         parity_holds(lattice, np.array([0, 1]))
 
 
+def test_parity_holds_refuses_marks_outside_zero_one():
+    # a per-entry product sum read 2 as even and 0.5 as odd, and a
+    # compress would read both as 1: neither is a 0/1 mark
+    lattice = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
+    for marks in [(0, 2, 0), (0, 0.5, 0), (0, -1, 0), np.array([[0], [1], [0]])]:
+        with pytest.raises(ValueError, match="0 or 1"):
+            parity_holds(lattice, marks)
+    odd = RelationLattice(3, ((1, 1, 0),), (1, 2, 3))
+    for marks in [np.array([False, True, False]), np.array([0, 1, 0], dtype=np.int64),
+                  (0, True, 0)]:
+        assert parity_holds(lattice, marks) == (True, None)
+        assert parity_holds(odd, marks) == (False, (1, 1, 0))
+
+
 def test_parity_invariant_under_unimodular_basis_change():
     for n, a in [(9, 1), (8, 1), (12, 1), (12, 2), (15, 2)]:
         columns, sigma, index_map = build_relation_system(
@@ -196,6 +210,16 @@ def test_restricted_and_generalized_systems_agree():
 def test_columns_must_share_length():
     with pytest.raises(ValueError, match="same length"):
         integer_kernel([(1, 2), (1,)])
+
+
+def test_integer_kernel_refuses_index_map_of_wrong_length():
+    # a one-entry map on a dimension-3 lattice let the certificate
+    # expansion in decide_path_lpgst drop entries
+    for columns, index_map in [([(1,), (2,), (3,)], (5,)),
+                               ([(1,), (2,)], (1, 2, 3)), ([], (1,))]:
+        with pytest.raises(ValueError, match="index_map"):
+            integer_kernel(columns, index_map)
+    assert integer_kernel([(1,), (2,)], (4, 7)).index_map == (4, 7)
 
 
 def test_integer_kernel_rejects_non_integer_entries():
@@ -322,6 +346,41 @@ def _reference_integer_kernel(columns):
     return tuple(basis)
 
 
+def _reference_array_kernel(columns):
+    """The integer-array column elimination integer_kernel ran before its
+    unit-pivot steps (rows sparsest first, a gcd step on every row), on
+    Python ints, frozen here as the reference for its basis."""
+    mat = np.array([[int(v) for v in c] for c in columns], dtype=object)
+    d, rows = mat.shape
+    work = np.zeros((d, rows + d), dtype=object)
+    work[:, :rows] = mat
+    work[:, rows:] = np.eye(d, dtype=object)
+    live = np.ones(d, dtype=bool)
+
+    for row in np.argsort(np.count_nonzero(mat, axis=0), kind="stable"):
+        active = np.flatnonzero(live & (work[:, row] != 0))
+        while active.size > 1:
+            entries = work[active, row]
+            at = np.argmin(np.abs(entries))
+            pivot = work[active[at]]
+            quot = entries // pivot[row]
+            quot[2 * np.abs(entries % pivot[row]) > abs(pivot[row])] += 1
+            quot[at] = 0
+            reduced = work[active] - np.outer(quot, pivot)
+            work[active] = reduced
+            active = active[reduced[:, row] != 0]
+        if active.size:
+            live[active[0]] = False
+
+    assert not work[live, :rows].any()
+    basis = []
+    for vec in work[live, rows:].tolist():
+        first = next((v for v in vec if v != 0), 0)
+        basis.append(tuple(-v for v in vec) if first < 0 else tuple(vec))
+    basis.sort()
+    return tuple(basis)
+
+
 @st.composite
 def _integer_systems(draw):
     """1-6 rows, 1-9 columns, entries at one scale from 4 to 2**70
@@ -361,6 +420,31 @@ def test_integer_kernel_matches_frozen_reference(columns):
     assert relation_lattice._product_is_zero(columns, lattice.basis)
     assert all(_in_lattice(lattice.basis, vec) for vec in reference)
     assert all(type(v) is int for vec in lattice.basis for v in vec)
+
+
+# Inputs below 2**31 whose first int64 step has pivot 1 and outgrows
+# _ELIMINATION_BOUND: the first row is the sparser, so it goes first; its
+# pivot 1 (column 0) clears 2**30 in column 1 with quotient 2**30, which
+# puts 2**30 - 2**60 into the second row.
+_UNIT_OVERFLOW = [(1, 2 ** 30), (2 ** 30, 2 ** 30), (0, 2 ** 30)]
+
+
+def test_unit_pivot_step_is_bound_checked():
+    mat = np.array(_UNIT_OVERFLOW)
+    assert relation_lattice._kernel_basis(mat, np.int64) is None
+    basis = relation_lattice._kernel_basis(mat, object)
+    assert tuple(map(tuple, basis.tolist())) == _reference_array_kernel(_UNIT_OVERFLOW)
+    assert integer_kernel(_UNIT_OVERFLOW).basis == ((2 ** 30, -1, 1 - 2 ** 30),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_systems())
+@example(_FIB_OVERFLOW)
+@example(_UNIT_OVERFLOW)
+def test_integer_kernel_matches_frozen_array_basis(columns):
+    # unit-pivot steps, zeroed dead columns and the array-side sort and
+    # sign fix return the very basis the plain gcd loop did, tuple for tuple
+    assert integer_kernel(columns).basis == _reference_array_kernel(columns)
 
 
 def test_product_check_leaves_float64_before_sums_round():
