@@ -202,13 +202,15 @@ class CycloElement:
 # The exact route's one size bound. A table is at most n * n * 8 bytes and
 # its build holds two: 32 MiB at n = 2048, peaking 63 MiB above the process.
 # The lattice route's slowest cases below the bound, decide --n 2030..2048
-# --a 1, take 0.3-0.5 s and peak at 222-281 MB end to end (2-core x86-64 VM).
+# --a 1, take 0.25-0.37 s and peak at 211-249 MB end to end (2-core x86-64 VM).
 MAX_TABLE_N = 2048
 
 
-# The lattice route works on one n at a time and reads the table once per
-# decision, so one table is kept; the cross-check band, which alternates n,
-# misses with 1 slot or 4. Witness checks read no table.
+# The lattice route reads the table once per verdict it computes, and
+# decision memoizes verdicts, so one table is kept. A cross-check band pass
+# (n = 60..128, interleaved) then builds 96-104 tables for its 69 n; keeping
+# them all saved 2-5% of a 44-48 ms in-process pass (2-core x86-64 VM),
+# too little for a cache bounded by bytes. Witness checks read no table.
 @functools.lru_cache(maxsize=1)
 def theta_table(n: int) -> np.ndarray:
     """Exact coefficients of every path eigenvalue for one n, as one array.

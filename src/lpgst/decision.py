@@ -9,6 +9,7 @@ explicit integer witness vector that can be re-verified exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,24 +140,37 @@ def decide_path_lpgst(n: int, a: int) -> Verdict:
     to the parity of the minus functional on the integer kernel of the
     support relation system. A failing parity check yields a certificate
     vector expanded back to indices k = 1..n-1. Refuses n above
-    MAX_TABLE_N, the eigenvalue table's bound, before any work.
+    MAX_TABLE_N, the eigenvalue table's bound, before any work. The
+    support and its signs depend on a only through the exclusion period
+    n / gcd(a, n), so every a of one period shares one computed verdict.
     """
     _validate_instance(n, a)
     if n > MAX_TABLE_N:
         raise ValueError(
             f"n must be at most {MAX_TABLE_N} for the lattice route, got {n}")
     frm, to = _mirror_pairs(n, a)
-    part = path_support_partition(n, a)
+    has_lpgst, certificate = _lattice_verdict(n, exclusion_period(n, a))
+    return Verdict(has_lpgst=has_lpgst, from_pair=frm, to_pair=to,
+                   certificate=certificate)
+
+
+# One entry per (n, exclusion period). The worst case held is 256
+# certificates of at most MAX_TABLE_N - 1 = 2,047 entries each, about 4 MB
+# of tuples.
+@functools.lru_cache(maxsize=256)
+def _lattice_verdict(n: int, q: int) -> tuple[bool, tuple[int, ...] | None]:
+    """(has_lpgst, certificate) of the lattice pipeline for every a with
+    exclusion period q, computed at the offset a = n // q."""
+    part = path_support_partition(n, n // q)
     columns, sigma, index_map = build_relation_system(n, part)
     lattice = integer_kernel(columns, index_map)
     holds, bad = parity_holds(lattice, sigma)
     if holds:
-        return Verdict(has_lpgst=True, from_pair=frm, to_pair=to)
+        return True, None
     full = [0] * (n - 1)
     for pos, k in enumerate(index_map):
         full[k - 1] = bad[pos]
-    return Verdict(has_lpgst=False, from_pair=frm, to_pair=to,
-                   certificate=tuple(full))
+    return False, tuple(full)
 
 
 def witness_relation(n: int, a: int) -> tuple[int, ...] | None:

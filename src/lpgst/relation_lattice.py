@@ -9,14 +9,14 @@ reduction (Cohen, A Course in Computational Algebraic Number Theory,
 
 The reduction runs on integer arrays, sparsest rows first: int64 while
 every entry stays below 2**31, Python ints otherwise. Most steps have a
-pivot of +-1 and clear the row in one subtraction, with no division; a
-column that survives its row is dead and its system part is zeroed. The
-basis is sign-normalized and sorted as an array, and that array is what
-the re-verification multiplies, before it becomes tuples. The
-re-verification is one float64 product while bits(max column entry) +
-bits(max basis entry) + bits(column count) < 53, so every partial sum is
-an integer below 2**53 and exact in any summation order; Python ints
-otherwise.
+pivot of +-1 and clear the row in one subtraction with no division, the
+pivot's own entry included, and the pivot's column is dead; otherwise the
+column that survives its row is. The basis is sign-normalized and sorted
+as an array, and that array is what the re-verification multiplies,
+before it becomes tuples. The re-verification is one float64 product
+while bits(max column entry) + bits(max basis entry) + bits(column count)
+< 53, so every partial sum is an integer below 2**53 and exact in any
+summation order; Python ints otherwise.
 """
 from __future__ import annotations
 
@@ -70,9 +70,11 @@ def integer_kernel(columns: list[tuple[int, ...]],
                          f"for {d} columns")
     if d == 0:
         return RelationLattice(0, (), index_map)
-    rows = len(columns[0])
-    if any(len(c) != rows for c in columns):
-        raise ValueError("columns must all have the same length")
+    # a 2-D array cannot be ragged, so only other input is scanned by row
+    if not (isinstance(columns, np.ndarray) and columns.ndim == 2):
+        rows = len(columns[0])
+        if any(len(c) != rows for c in columns):
+            raise ValueError("columns must all have the same length")
 
     mat = _exact_array(columns)                 # mat[j, i]: column j, row i
     basis = None
@@ -97,12 +99,16 @@ def _kernel_basis(mat: np.ndarray, dtype) -> np.ndarray | None:
 
     Works on one (d, rows + d) array of the given dtype: each row holds a
     column of the system followed by its row of the unimodular transform.
-    A step whose pivot is +-1 clears every other active entry at once
-    (the quotients are the entries times the pivot), so the pivot is the
-    row's survivor with no division and no re-scan. The survivor's column
-    dies and its system part is zeroed, so a row's active columns are its
-    nonzero entries. Every int64 step, unit steps included, is checked:
-    returns None when an entry reaches _ELIMINATION_BOUND.
+    A step whose pivot is +-1 clears every active entry at once, with no
+    division and no re-scan: the quotients are the entries times the
+    pivot, so the pivot's own is p * p = 1 and its whole row of work
+    subtracts itself to zero in the same update. That pivot's column dies
+    and the row is done. Otherwise the column left as the row's only
+    nonzero entry dies and its system part is zeroed. Either way a dead
+    column's system part is zero, so a row's active columns are its
+    nonzero entries, and its transform row is never read again. Every
+    int64 step is checked: returns None when an entry reaches
+    _ELIMINATION_BOUND.
     """
     d, rows = mat.shape
     work = np.zeros((d, rows + d), dtype=dtype)
@@ -117,23 +123,28 @@ def _kernel_basis(mat: np.ndarray, dtype) -> np.ndarray | None:
             block = work[active]
             entries = block[:, row]             # a view: follows the step
             # argmin takes the first smallest magnitude, as min(key=abs) does
-            at = np.argmin(np.abs(entries))
+            at = np.abs(entries).argmin()
             p = entries[at]
             unit = p == 1 or p == -1
             if unit:
-                quot = entries * p
+                quot = entries * p              # quot[at] = p * p = 1
             else:
                 quot = entries // p
                 quot[2 * np.abs(entries % p) > abs(p)] += 1
-            quot[at] = 0
+                quot[at] = 0
             block -= quot[:, None] * block[at]
-            if dtype is not object and np.abs(block).max() >= _ELIMINATION_BOUND:
+            if dtype is not object and (block.max() >= _ELIMINATION_BOUND
+                                        or block.min() <= -_ELIMINATION_BOUND):
                 return None
             work[active] = block
-            active = active[at:at + 1] if unit else active[entries != 0]
-        if active.size:
-            live[active[0]] = False
-            work[active[0], :rows] = 0
+            if unit:                            # the pivot row cleared itself
+                live[active[at]] = False
+                break
+            active = active[entries != 0]
+        else:                                   # no unit pivot ended the row
+            if active.size:
+                live[active[0]] = False
+                work[active[0], :rows] = 0
 
     assert not work[:, :rows].any()
     kernel = work[live, rows:]

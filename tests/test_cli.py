@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpgst import _kernels, cli, cyclotomic, spectra
+from lpgst import _kernels, cli, cyclotomic, decision, spectra
 from lpgst.cli import (MAX_CLASSIFY_WORK, TRACE_BLOCK, _classify_work,
                        _csv_block, _json_block, _round12, main)
 from lpgst.cyclotomic import MAX_TABLE_N, IntPolynomial, theta_table
@@ -741,14 +741,18 @@ def _flipped_theta_rows(n, phi):
 
 def test_decide_certificate_from_a_wrong_table_exits_3(capsys, monkeypatch):
     # the lattice route eliminates the wrong table and finds a "relation";
-    # the certificate check reads no table, so it is not fooled
+    # the certificate check reads no table, so it is not fooled. Both
+    # caches are cleared, so no verdict from the right table is served and
+    # none from the wrong one outlives the test.
     monkeypatch.setattr(cyclotomic, "_theta_rows", _flipped_theta_rows)
     theta_table.cache_clear()
+    decision._lattice_verdict.cache_clear()
     try:
         code, out, err = _run(capsys, ["decide", "--n", "9", "--a", "1",
                                        "--certificate"])
     finally:
         theta_table.cache_clear()
+        decision._lattice_verdict.cache_clear()
     assert code == 3
     assert out == ""
     [line] = [x for x in err.splitlines() if x.startswith("error:")]

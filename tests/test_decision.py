@@ -15,9 +15,10 @@ from lpgst.decision import (MAX_WITNESS_N, RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
                             classify_path, cross_check, decide_path_lpgst,
                             factor_two_power, path_class, verify_witness,
                             witness_relation)
-from lpgst.pair_states import path_support_partition
+from lpgst.pair_states import exclusion_period, path_support_partition
 from lpgst.relation_lattice import (_exact_array, _product_is_zero,
-                                    build_relation_system, integer_kernel)
+                                    build_relation_system, integer_kernel,
+                                    parity_holds)
 
 
 def test_factor_two_power():
@@ -445,6 +446,61 @@ def test_lattice_certificates_match_pinned_digest_3_to_64():
             if 2 * a != n:
                 _fold_verdict(digest, n, a, decide_path_lpgst(n, a))
     assert digest.hexdigest() == _LATTICE_DIGEST_3_TO_64
+
+
+def _pipeline_verdict(n, a):
+    """The lattice pipeline run at a itself, with no memo."""
+    columns, sigma, index_map = build_relation_system(
+        n, path_support_partition(n, a))
+    holds, bad = parity_holds(integer_kernel(columns, index_map), sigma)
+    frm, to = (a, a + 1), (n - a, n - a + 1)
+    if holds:
+        return decision.Verdict(True, frm, to)
+    full = [0] * (n - 1)
+    for pos, k in enumerate(index_map):
+        full[k - 1] = bad[pos]
+    return decision.Verdict(False, frm, to, certificate=tuple(full))
+
+
+def test_memoized_verdicts_match_the_pipeline_at_every_offset():
+    # one verdict per (n, exclusion period), computed at a = n // period,
+    # serves every a of that period
+    decision._lattice_verdict.cache_clear()
+    systems = set()
+    for n in range(3, 49):
+        for a in range(1, n):
+            if 2 * a != n:
+                assert decide_path_lpgst(n, a) == _pipeline_verdict(n, a), (n, a)
+                systems.add((n, exclusion_period(n, a)))
+    assert decision._lattice_verdict.cache_info().misses == len(systems)
+
+
+def test_offsets_of_one_exclusion_period_share_the_certificate():
+    for n, a, b in [(9, 1, 2), (15, 1, 7), (15, 3, 6), (45, 5, 10)]:
+        assert exclusion_period(n, a) == exclusion_period(n, b)
+        first = decide_path_lpgst(n, a).certificate
+        assert first is not None
+        assert decide_path_lpgst(n, b).certificate is first
+
+
+def test_one_kernel_per_exclusion_period(monkeypatch):
+    # the memo calls the pipeline through decision's own names, where a
+    # tracer or a patch sees every call
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integer_kernel(*args)
+
+    monkeypatch.setattr(decision, "integer_kernel", counted)
+    decision._lattice_verdict.cache_clear()
+    for a in (1, 2, 4, 3, 6, 1):            # periods 9, 9, 9, 3, 3, 9
+        decide_path_lpgst(9, a)
+    assert len(calls) == 2
+
+
+def test_lattice_verdict_memo_size():
+    assert decision._lattice_verdict.cache_parameters()["maxsize"] == 256
 
 
 @pytest.mark.slow
