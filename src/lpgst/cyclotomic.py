@@ -202,7 +202,9 @@ class CycloElement:
 # The exact route's one size bound. A table is at most n * n * 8 bytes and
 # its build holds two: 32 MiB at n = 2048, peaking 63 MiB above the process.
 # The lattice route's slowest cases below the bound, decide --n 2030..2048
-# --a 1, take 0.25-0.37 s and peak at 211-249 MB end to end (2-core x86-64 VM).
+# --a 1 --certificate, take 0.23-0.31 s and peak at 210-248 MB end to end
+# (child processes, best of 3, 2-core x86-64 VM; 0.27-0.36 s before the
+# kernel basis stayed an array).
 MAX_TABLE_N = 2048
 
 

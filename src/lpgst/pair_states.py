@@ -173,8 +173,9 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     Scans a uniform grid of `steps` points (refused as check_sweep_grid
     refuses them), then runs 60 golden-section iterations in the
     one-cell window around the best grid point. The refined point is
-    inserted into the returned trace, so sup_estimate is the maximum of the
-    stored fidelities.
+    inserted into the returned trace when it beats the grid by more than
+    phase_rounding_bound, so sup_estimate is the maximum of the stored
+    fidelities.
     """
     check_sweep_grid(t_max, steps)
     c = transfer_weights(s, frm, to)
@@ -196,14 +197,32 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
         lambda t: _fidelity_at(thetas, c, t), lo, hi, iterations=60)
 
     pos = int(np.searchsorted(times, t_ref))
-    # a refined time that rounds onto a grid time would repeat that time
-    if f_ref > fids[best] and t_ref not in times[pos:pos + 1]:
+    # a gain within the rounding bound may be rounding alone, and a refined
+    # time that rounds onto a grid time would repeat that time
+    if (f_ref - fids[best] > phase_rounding_bound(thetas, c, t_max)
+            and t_ref not in times[pos:pos + 1]):
         _insert_in_place(times, pos, t_ref)
         _insert_in_place(fids, pos, f_ref)
         best = pos
     return FidelityTrace(times=times, fidelities=fids,
                          sup_estimate=float(fids[best]),
                          argmax_time=float(times[best]))
+
+
+def phase_rounding_bound(thetas: np.ndarray, weights: np.ndarray,
+                         t_max: float) -> float:
+    """Largest fidelity error that rounding the phases theta_r * t allows
+    on [0, t_max]: 0.5 * (sum |w|)^2 * (4 ulp(max|theta| * t_max) + m 2^-52).
+
+    The grid kernel and _fidelity_at each round every phase, and the
+    blocked grid also moves each time by up to about one ulp of t. Both
+    come to under 4 ulps of max|theta| * t_max per term, plus a relative
+    2^-52 per term for the sum itself, and a phase error d moves the
+    fidelity by at most (sum |w|)^2 * d / 2.
+    """
+    ulp = np.spacing(float(np.abs(thetas).max()) * t_max)
+    return 0.5 * float(np.abs(weights).sum()) ** 2 * (
+        4 * ulp + thetas.size * 2.0 ** -52)
 
 
 def _insert_in_place(values: np.ndarray, pos: int, value: float) -> None:

@@ -12,14 +12,17 @@ every entry stays below 2**31, Python ints otherwise. Most steps have a
 pivot of +-1 and clear the row in one subtraction with no division, the
 pivot's own entry included, and the pivot's column is dead; otherwise the
 column that survives its row is. The basis is sign-normalized and sorted
-as an array, and that array is what the re-verification multiplies,
-before it becomes tuples. The re-verification is one float64 product
-while bits(max column entry) + bits(max basis entry) + bits(column count)
-< 53, so every partial sum is an integer below 2**53 and exact in any
-summation order; Python ints otherwise.
+as an array, and that array is what the re-verification multiplies and
+the lattice keeps: the parity test is one product with it, and the
+tuples of RelationLattice.basis are built only when a caller reads them.
+The re-verification is one float64 product while bits(max column entry)
++ bits(max basis entry) + bits(column count) < 53, so every partial sum
+is an integer below 2**53 and exact in any summation order; Python ints
+otherwise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -30,21 +33,49 @@ from .cyclotomic import _max_abs, theta_table
 from .pair_states import SupportPartition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RelationLattice:
     """Saturated integer kernel basis of the relation system.
 
-    basis vectors have length `dimension` (one entry per support
-    eigenvalue); index_map sends each position to its eigenvalue index.
+    vectors holds the basis, one vector per row of a read-only (rank,
+    dimension) integer array: int64, or Python ints (object dtype) when an
+    entry does not fit. basis is the same vectors as tuples of Python
+    ints, built the first time it is read. index_map sends each position
+    to its eigenvalue index. Lattices compare and hash by (dimension,
+    basis, index_map), whichever form their basis was given in.
     """
 
     dimension: int
-    basis: tuple[tuple[int, ...], ...]
+    vectors: np.ndarray
     index_map: tuple[int, ...]
+
+    def __init__(self, dimension: int, basis, index_map: tuple[int, ...]):
+        vectors = (_exact_array(basis) if len(basis)
+                   else np.zeros((0, dimension), dtype=np.int64))
+        if vectors.ndim != 2 or vectors.shape[1] != dimension:
+            raise ValueError(f"basis vectors must have {dimension} entries")
+        vectors = vectors.view()        # a caller's array stays writable
+        vectors.flags.writeable = False
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "index_map", index_map)
+
+    @functools.cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.vectors.tolist()))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.dimension, self.basis, self.index_map)
+                == (other.dimension, other.basis, other.index_map))
+
+    def __hash__(self):
+        return hash((self.dimension, self.basis, self.index_map))
 
 
 def integer_kernel(columns: list[tuple[int, ...]],
@@ -59,7 +90,7 @@ def integer_kernel(columns: list[tuple[int, ...]],
     every entry stays below 2**31 and is redone on Python ints (an object
     array) as soon as one does not; the basis is the same either way. The
     product of the input matrix with the basis array is re-verified
-    exactly before it is turned into tuples. Raises ValueError unless
+    exactly before the lattice keeps it. Raises ValueError unless
     every entry is an integer and index_map has one entry per column.
     """
     d = len(columns)
@@ -84,7 +115,7 @@ def integer_kernel(columns: list[tuple[int, ...]],
         basis = _kernel_basis(mat, object)
     if not _product_is_zero(mat, basis):
         raise AssertionError("kernel verification failed")
-    return RelationLattice(d, tuple(map(tuple, basis.tolist())), index_map)
+    return RelationLattice(d, basis, index_map)
 
 
 # int64 elimination is exact while every entry stays below 2**31: a
@@ -234,17 +265,26 @@ def parity_holds(lat: RelationLattice,
 
     sigma . v mod 2 is linear in v, so even parity on a generating set
     extends to the whole lattice. Returns (True, None) or (False, witness)
-    where the witness is a basis vector with odd parity. Raises
-    ValueError unless sigma has one mark per position, each 0 or 1.
+    where the witness is the first basis vector with odd parity, as a
+    tuple of Python ints. Raises ValueError unless sigma has one mark per
+    position, each 0 or 1.
     """
-    marks = np.asarray(sigma).tolist()
+    marks = np.asarray(sigma)
     if len(marks) != lat.dimension:
         raise ValueError(
             f"parity marks length {len(marks)} does not match "
             f"lattice dimension {lat.dimension}")
-    if not all(m in (0, 1) for m in marks):
+    if marks.dtype.kind in "biu":
+        valid = marks.ndim == 1 and not ((marks < 0) | (marks > 1)).any()
+    else:
+        valid = all(m in (0, 1) for m in marks.tolist())
+    if not valid:
         raise ValueError("parity marks must each be 0 or 1")
-    for vec in lat.basis:
-        if sum(itertools.compress(vec, marks)) % 2 != 0:
-            return False, vec
-    return True, None
+    # one product for every vector; an int64 sum that wraps is still
+    # right mod 2**64, so its low bit is the parity. Object rows sum as
+    # Python ints.
+    vectors = lat.vectors
+    odd = np.flatnonzero((vectors @ (marks == 1).astype(vectors.dtype)) & 1)
+    if not odd.size:
+        return True, None
+    return False, tuple(vectors[odd[0]].tolist())

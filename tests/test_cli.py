@@ -288,7 +288,10 @@ def test_sweep_csv_format(capsys):
 # factors, the same with one BLAS thread and with two: an ordinary window,
 # times in 1e12..1e16 (where %g and repr disagree) and fidelities in
 # exponent form. The fidelities carry the last bits of the platform's
-# libm, so another platform may need fresh digests.
+# libm, so another platform may need fresh digests. The two graph 5e12
+# digests were re-taken when the refined point came to need a gain above
+# the phase-rounding bound: there it gained 7.4e-4 against a bound of
+# 0.031, and it is no longer inserted.
 _GOLDEN_GRAPH = "# five-vertex path with the chord 2-4\nn 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 2 4\n"
 _GOLDEN_SOURCES = {"path": ["--path", "15", "--from", "1,2", "--to", "14,15"],
                    "graph": ["--graph", "g.txt", "--from", "1,2", "--to", "4,5"]}
@@ -301,8 +304,8 @@ _GOLDEN_SWEEPS = {
     ("path", "1e-5", "1000", "csv"): "069ed2d3d6a7cf262291c3d66f791b1b85cb3f876db03fe17acc0e9de0035c57",
     ("graph", "317.123", "5000", "json"): "214755f005b985087fa5c5ab8e99cd58f702b2d0d1921dab8f62c9a48d1cfc7a",
     ("graph", "317.123", "5000", "csv"): "42e870470ea8623342e4f853847c49acb076e762b75121c01a2ccac82fde777a",
-    ("graph", "5e12", "1000", "json"): "b33361635d0a79edd6dbd9ffbb1331e963c4394d6a9f1c46c006efeb94be2c9c",
-    ("graph", "5e12", "1000", "csv"): "e7e36df6eefc787d3d35f7a2ef1fb8cbcc38ffcdfc2815ce5917beb53f29a142",
+    ("graph", "5e12", "1000", "json"): "2b594061a910115dca6ac497fe5b6077c2e6042aea744b845e5c2c86aa28a883",
+    ("graph", "5e12", "1000", "csv"): "65b57bfbcfd11d7b624e7fb11f75089aa4aac9eedbbfe7ea14d93c5cdc8ade52",
     ("graph", "1e-5", "1000", "json"): "6780cac21fbb0a03050ecbfcf6aa71ad73dcd465e1c879a819cec07f2a58664a",
     ("graph", "1e-5", "1000", "csv"): "823c7a2f28f7ce9b63b311a45b9d937160624e12eb43aebb55b6a689b76ae3e6",
 }
@@ -490,6 +493,21 @@ def test_block_streamed_sweep_matches_one_shot_text(capsys, n, tmax, steps, fmt)
     if n == 3:
         assert trace.times.size == steps + 1
         assert trace.times[steps - 1] == trace.argmax_time
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_inserts_no_refined_point_that_only_rounding_raised(capsys, fmt):
+    # the golden-section point read higher than the grid's fidelity 1 at
+    # t = 0 by rounding alone, and a fourth row at t = 5.5e-14 was printed
+    code, out, _ = _run(capsys, ["sweep", "--path", "5", "--from", "1,2",
+                                 "--to", "1,2", "--tmax", "1", "--steps", "3",
+                                 "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["times"] == [0.0, 0.5, 1.0]
+    else:
+        assert out.splitlines()[4:] == ["0,1", "0.5,0.827389495126",
+                                        "1,0.457139795938"]
 
 
 def test_sweep_missing_file_exits_2(capsys):
@@ -810,18 +828,21 @@ print(code, peak_mb, digest.hexdigest())
 """
 
 # stdout digests, the same with one BLAS thread and with two; the first two
-# taken when the grid became one table of phase factors
+# taken when the grid became one table of phase factors. The two 1024-path
+# digests were re-taken when the refined point came to need a gain above
+# the phase-rounding bound: their fidelities are about 3e-29, rounding
+# noise under a 6.8e-13 bound, and the refined row is no longer inserted.
 _LARGE_SWEEPS = [
     (["--path", "1024", "--from", "100,101", "--to", "924,925",
       "--tmax", "50", "--steps", "100000"], 150,
-     "ccb26fc342b754e90d1be4710d62526e28d2988384d0a9c13f0923d3df9810f9"),
+     "61eae61ef23072c755efed1021a4f1faa6620a62b1fccf6134c2095eaeadb0a0"),
     (["--path", "20", "--from", "3,4", "--to", "17,18", "--tmax", "100",
       "--steps", "10000000", "--format", "csv"], 400,
      "7d86016fff0dd38aa315872162e43616f0d285092bc967e8fa5c298a8a6d09f4"),
     # the largest sweep accepted, both bounds at their limit
     (["--path", "1024", "--from", "1,2", "--to", "1023,1024", "--tmax", "50",
       "--steps", "10000000", "--format", "csv"], 400,
-     "d8a230cadf26c283b2acddd0c2dd7fd7935c1c0d499491c349d339c0b6eb8a4e"),
+     "461144d4e078292a891094688a22703a7e1a12ab4b6e4c26e7a46a2a53892899"),
 ]
 
 

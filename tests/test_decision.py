@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpgst import cyclotomic, decision
-from lpgst.cyclotomic import MAX_TABLE_N, theta_table
+from lpgst.cyclotomic import MAX_TABLE_N, _max_abs, theta_table
 from lpgst.decision import (MAX_WITNESS_N, RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
                             RULE_POWER_OF_TWO, RULE_TWO_POWER_TIMES_PRIME,
                             SamePairError, alternating_cosine_residual,
@@ -305,19 +305,29 @@ def _assert_root_check_matches_table(ns, seed):
     rng = random.Random(seed)
     for n in ns:
         table = theta_table(n)
+        exact_table = table.astype(np.float64)
+        kernels = {}        # the kernel depends on a only through the period
         for a in range(1, n):
             if 2 * a == n:
                 continue
-            basis = _kernel_rows(n, a)
+            q = exclusion_period(n, a)
+            if q not in kernels:
+                kernels[q] = _kernel_rows(n, a)
+            basis = kernels[q]
             # a whole basis per call: every vector vanishes under both
             assert _product_is_zero(table, basis), (n, a)
             assert decision._theta_sums_vanish(n, basis).all(), (n, a)
             moved = basis.copy()
-            for row in moved:
-                i, j = rng.sample(range(n - 1), 2)
-                row[i] += 1
-                row[j] -= 1
-            expected = [_product_is_zero(table, [row]) for row in moved]
+            i, j = np.array([rng.sample(range(n - 1), 2) for _ in moved],
+                            dtype=np.intp).reshape(-1, 2).T
+            rows = np.arange(len(moved))
+            moved[rows, i] += 1
+            moved[rows, j] -= 1
+            # one float64 product for every row, exact as in _product_is_zero:
+            # every partial sum is an integer below 2**53
+            assert (_max_abs(moved).bit_length() + _max_abs(table).bit_length()
+                    + (n - 1).bit_length() < 53), (n, a)
+            expected = (~(moved @ exact_table).any(axis=1)).tolist()
             assert decision._theta_sums_vanish(n, moved).tolist() == expected, (n, a)
 
 

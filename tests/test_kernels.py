@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpgst import _kernels
-from lpgst.pair_states import transfer_weights
+from lpgst.pair_states import phase_rounding_bound, transfer_weights
 from lpgst.spectra import path_spectrum
 
 
@@ -18,18 +18,6 @@ def test_fidelity_grid_numpy_matches_direct_formula():
     for t, f in zip(times, got):
         amp = 0.5 * np.sum(weights * np.exp(-1j * t * thetas))
         assert f == pytest.approx(abs(amp) ** 2, abs=1e-12)
-
-
-def _rounding_bound(thetas, weights, t_max):
-    """Largest fidelity error a few roundings of each phase th_r * t allow.
-
-    Each kernel rounds every phase; the blocked grid also moves each time
-    by up to about one ulp of t, as times[s] + j*dt is not times[s + j].
-    Both come to under 4 ulps of th_max * t_max per term, and a phase
-    error d moves the fidelity by at most (sum |w|)^2 * d / 2.
-    """
-    ulp = np.spacing(float(np.abs(thetas).max()) * t_max)
-    return 0.5 * np.abs(weights).sum() ** 2 * (4 * ulp + thetas.size * 2.0 ** -52)
 
 
 def chunked_fidelity_grid(eigenvalues, weights, times):
@@ -59,7 +47,7 @@ def test_fidelity_grid_matches_frozen_chunked_kernel():
                 times = np.linspace(0.0, t_max, steps)
                 diff = np.abs(_kernels.fidelity_grid(thetas, weights, times)
                               - chunked_fidelity_grid(thetas, weights, times))
-                bound = _rounding_bound(thetas, weights, t_max)
+                bound = phase_rounding_bound(thetas, weights, t_max)
                 assert diff.max() <= bound, (m, t_max, steps)
                 worst[t_max] = max(worst.get(t_max, 0.0), diff.max())
     assert worst[317.123] < 1e-12 and worst[5000.0] < 1e-11
@@ -72,7 +60,7 @@ def test_fidelity_grid_agrees_across_block_rows(monkeypatch):
     thetas = np.sort(rng.uniform(0.0, 4.0, size=15))
     weights = rng.normal(size=15)
     weights *= 2.0 / np.abs(weights).sum()
-    bound = _rounding_bound(thetas, weights, 5000.0)
+    bound = phase_rounding_bound(thetas, weights, 5000.0)
     for rows in (1, 2, 63, 64, 1000, 1024, 4096):
         monkeypatch.setattr(_kernels, "BLOCK_ROWS", rows)
         for steps in (2, 1025, 2049, 4097):
@@ -99,7 +87,7 @@ def test_fidelity_grid_matches_mpmath_oracle(n, t_max):
                               for w, th in terms)
             want.append(float(abs(amp) ** 2 / 4))
     err = np.abs(got[picks] - want)
-    assert err.max() <= _rounding_bound(thetas, weights, t_max)
+    assert err.max() <= phase_rounding_bound(thetas, weights, t_max)
 
 
 def test_fidelity_grid_memory_is_output_plus_two_blocks():

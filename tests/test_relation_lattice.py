@@ -1,5 +1,11 @@
+import collections
+import dataclasses
+import importlib.util
 import itertools
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,3 +465,109 @@ def test_product_check_leaves_float64_before_sums_round():
     assert relation_lattice._product_is_zero([(side,), (side,)], ((side, -side),))
     assert not relation_lattice._product_is_zero([(side,), (side,)],
                                                  ((side, 1 - side),))
+
+
+def _tuples_of_sorted_array(columns):
+    """The basis integer_kernel returned while it built its tuples eagerly:
+    the verified array of _kernel_basis, as tuples of Python ints."""
+    mat = relation_lattice._exact_array(columns)
+    basis = None
+    if mat.dtype != object:
+        basis = relation_lattice._kernel_basis(mat, np.int64)
+    if basis is None:
+        basis = relation_lattice._kernel_basis(mat, object)
+    return tuple(map(tuple, basis.tolist()))
+
+
+@pytest.mark.parametrize("columns,dtype", [
+    (build_relation_system(24, path_support_partition(24, 1))[0], np.int64),
+    (build_relation_system(45, path_support_partition(45, 3))[0], np.int64),
+    ([(2 ** 63,), (-1,)], object),
+    (_UNIT_OVERFLOW, np.int64),
+], ids=["path-24", "path-45", "past-int64", "outgrows-int64"])
+def test_basis_is_tuples_of_python_ints_in_array_order(columns, dtype):
+    # the elimination runs on Python ints in the last two; the lattice
+    # keeps int64 vectors wherever every entry fits
+    lattice = integer_kernel(columns)
+    assert lattice.vectors.dtype == dtype
+    assert not lattice.vectors.flags.writeable
+    assert type(lattice.basis) is tuple
+    assert all(type(vec) is tuple for vec in lattice.basis)
+    assert all(type(v) is int for vec in lattice.basis for v in vec)
+    assert lattice.basis == _tuples_of_sorted_array(columns)
+    assert lattice.basis is lattice.basis          # built once, on first read
+    assert lattice.rank == len(lattice.basis)
+
+
+def test_tracer_entry_count_is_json_serializable():
+    # the benchmark's tracer takes max |entry| over lattice.basis and writes
+    # it as JSON, which refuses numpy integers
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    counts = collections.defaultdict(int)
+    for columns in (build_relation_system(30, path_support_partition(30, 1))[0],
+                    [(2 ** 63,), (-1,)]):
+        tracing._integer_kernel_counts(counts, (columns,), integer_kernel(columns))
+    assert json.loads(json.dumps(counts)) == counts
+    assert counts["relation_lattice.integer_kernel.max_abs_entry"] == 2 ** 63
+
+
+def test_lattices_from_tuples_compare_and_hash_as_before():
+    columns, _, index_map = build_relation_system(4, path_support_partition(4, 1))
+    computed = integer_kernel(columns, index_map)
+    given_tuples = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
+    given_array = RelationLattice(3, np.array([[1, -2, 1]]), (1, 2, 3))
+    for lattice in (computed, given_tuples, given_array):
+        assert lattice == given_tuples
+        assert hash(lattice) == hash((3, ((1, -2, 1),), (1, 2, 3)))
+    assert len({computed, given_tuples, given_array}) == 1
+    assert given_tuples != RelationLattice(3, ((1, -2, 2),), (1, 2, 3))
+    assert given_tuples != RelationLattice(3, ((1, -2, 1),), (1, 2, 4))
+    assert given_tuples != (3, ((1, -2, 1),), (1, 2, 3))
+    assert integer_kernel([]) == RelationLattice(0, (), ())
+    assert hash(RelationLattice(2, (), (1, 2))) == hash((2, (), (1, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        given_tuples.dimension = 4
+    with pytest.raises(ValueError):
+        given_array.vectors[0, 0] = 5
+    with pytest.raises(ValueError, match="3 entries"):
+        RelationLattice(3, ((1, -2),), (1, 2, 3))
+
+
+def _tuple_parity(lattice, sigma):
+    """parity_holds as it was, a compress over each basis tuple."""
+    marks = np.asarray(sigma).tolist()
+    for vec in lattice.basis:
+        if sum(itertools.compress(vec, marks)) % 2 != 0:
+            return False, vec
+    return True, None
+
+
+def test_array_parity_matches_tuple_parity_up_to_64():
+    verdicts = collections.Counter()
+    for n in range(2, 65):
+        for q in sorted({n // math.gcd(a, n) for a in range(1, n) if 2 * a != n}):
+            columns, sigma, index_map = build_relation_system(
+                n, path_support_partition(n, n // q))
+            lattice = integer_kernel(columns, index_map)
+            holds, witness = parity_holds(lattice, sigma)
+            assert (holds, witness) == _tuple_parity(lattice, sigma), (n, q)
+            verdicts[holds] += 1
+    assert verdicts == {True: 70, False: 114}
+
+
+def test_array_parity_is_exact_past_int64():
+    # int64 sums that wrap keep their low bit; object rows sum exactly
+    big = 2 ** 62 + 1
+    wrapping = RelationLattice(3, ((big, 2 ** 62, big),), (1, 2, 3))
+    assert wrapping.vectors.dtype == np.int64
+    assert parity_holds(wrapping, (1, 1, 1)) == (True, None)      # 3 * 2**62 + 2
+    assert parity_holds(wrapping, (1, 1, 0)) == (False, (big, 2 ** 62, big))
+    huge = RelationLattice(2, ((2, 2 ** 70), (1, 2 ** 70 + 1)), (1, 2))
+    assert huge.vectors.dtype == object
+    assert parity_holds(huge, (0, 1)) == (False, (1, 2 ** 70 + 1))
+    assert parity_holds(huge, (1, 1)) == (True, None)
+    for marks in (np.array([0, 1]), (False, True)):
+        assert parity_holds(huge, marks) == _tuple_parity(huge, marks)
