@@ -39,25 +39,31 @@ class RelationLattice:
 
     vectors holds the basis, one vector per row of a read-only (rank,
     dimension) integer array: int64, or Python ints (object dtype) when an
-    entry does not fit. basis is the same vectors as tuples of Python
-    ints, built the first time it is read. index_map sends each position
-    to its eigenvalue index. Lattices compare and hash by (dimension,
-    basis, index_map), whichever form their basis was given in.
+    entry does not fit. It is given as integer rows, tuples or an array;
+    an array the caller can still write to is copied. basis is the same
+    vectors as tuples of Python ints, built the first time it is read.
+    index_map sends each position to its eigenvalue index. Lattices
+    compare and hash by (dimension, basis, index_map), whichever form
+    their basis was given in.
     """
 
     dimension: int
     vectors: np.ndarray
     index_map: tuple[int, ...]
 
-    def __init__(self, dimension: int, basis, index_map: tuple[int, ...]):
-        vectors = (_exact_array(basis) if len(basis)
-                   else np.zeros((0, dimension), dtype=np.int64))
-        if vectors.ndim != 2 or vectors.shape[1] != dimension:
+    def __init__(self, dimension: int, vectors, index_map: tuple[int, ...]):
+        arr = (_exact_array(vectors) if len(vectors)
+               else np.zeros((0, dimension), dtype=np.int64))
+        if arr.ndim != 2 or arr.shape[1] != dimension:
             raise ValueError(f"basis vectors must have {dimension} entries")
-        vectors = vectors.view()        # a caller's array stays writable
-        vectors.flags.writeable = False
+        # an int64 array comes back from _exact_array uncopied: copy it
+        # unless it is read-only and no view of another array, as
+        # integer_kernel's own basis is, so a caller's write cannot reach it
+        if arr is vectors and (arr.flags.writeable or arr.base is not None):
+            arr = arr.copy()
+        arr.flags.writeable = False
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "vectors", arr)
         object.__setattr__(self, "index_map", index_map)
 
     @functools.cached_property
@@ -115,6 +121,7 @@ def integer_kernel(columns: list[tuple[int, ...]],
         basis = _kernel_basis(mat, object)
     if not _product_is_zero(mat, basis):
         raise AssertionError("kernel verification failed")
+    basis.flags.writeable = False       # the lattice keeps it without a copy
     return RelationLattice(d, basis, index_map)
 
 
@@ -274,11 +281,7 @@ def parity_holds(lat: RelationLattice,
         raise ValueError(
             f"parity marks length {len(marks)} does not match "
             f"lattice dimension {lat.dimension}")
-    if marks.dtype.kind in "biu":
-        valid = marks.ndim == 1 and not ((marks < 0) | (marks > 1)).any()
-    else:
-        valid = all(m in (0, 1) for m in marks.tolist())
-    if not valid:
+    if not (marks.ndim == 1 and ((marks == 0) | (marks == 1)).all()):
         raise ValueError("parity marks must each be 0 or 1")
     # one product for every vector; an int64 sum that wraps is still
     # right mod 2**64, so its low bit is the parity. Object rows sum as

@@ -20,6 +20,15 @@ def test_fidelity_grid_numpy_matches_direct_formula():
         assert f == pytest.approx(abs(amp) ** 2, abs=1e-12)
 
 
+def test_phase_rounding_bound_is_pinned():
+    # the grid accuracy tests below assert against this bound, and
+    # fidelity_sweep gates its refined point on it: widening it must fail
+    # here. 0.5 * 2**2 * (4 ulp(4 * 2) + 3 * 2**-52) = 2 * (32 + 3) * 2**-52
+    bound = phase_rounding_bound(np.array([0.0, 1.0, -4.0]),
+                                 np.array([0.5, -0.5, 1.0]), 2.0)
+    assert bound == 70 * 2.0 ** -52
+
+
 def chunked_fidelity_grid(eigenvalues, weights, times):
     # Frozen reference: fidelity_grid as it was, whole 65536-row chunks of
     # cos and sin temporaries, one rounded phase times[i] * th_r per entry.

@@ -167,12 +167,13 @@ def test_parity_holds_refuses_marks_outside_zero_one():
     # a per-entry product sum read 2 as even and 0.5 as odd, and a
     # compress would read both as 1: neither is a 0/1 mark
     lattice = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
-    for marks in [(0, 2, 0), (0, 0.5, 0), (0, -1, 0), np.array([[0], [1], [0]])]:
+    for marks in [(0, 2, 0), (0, 0.5, 0), (0, -1, 0), np.array([[0], [1], [0]]),
+                  (0, 2 ** 70, 0), ("0", "1", "0")]:
         with pytest.raises(ValueError, match="0 or 1"):
             parity_holds(lattice, marks)
     odd = RelationLattice(3, ((1, 1, 0),), (1, 2, 3))
     for marks in [np.array([False, True, False]), np.array([0, 1, 0], dtype=np.int64),
-                  (0, True, 0)]:
+                  (0, True, 0), np.array([0, 1, 0], dtype=object)]:
         assert parity_holds(lattice, marks) == (True, None)
         assert parity_holds(odd, marks) == (False, (1, 1, 0))
 
@@ -534,6 +535,37 @@ def test_lattices_from_tuples_compare_and_hash_as_before():
         given_array.vectors[0, 0] = 5
     with pytest.raises(ValueError, match="3 entries"):
         RelationLattice(3, ((1, -2),), (1, 2, 3))
+
+
+def test_lattice_does_not_follow_writes_to_the_callers_array():
+    source = np.array([[1, -2, 1]])
+    lattice = RelationLattice(3, source, (1, 2, 3))
+    hashed = hash(lattice)
+    source[0, 1] = 1                    # odd on (0, 1, 0) if it reached the lattice
+    assert lattice.vectors.tolist() == [[1, -2, 1]]
+    assert parity_holds(lattice, (0, 1, 0)) == (True, None)
+    view = source[:, :].view()
+    view.flags.writeable = False        # read-only, but source still writes it
+    from_view = RelationLattice(3, view, (1, 2, 3))
+    source[0, 1] = -2
+    assert from_view.basis == ((1, 1, 1),) and hash(lattice) == hashed
+
+
+def test_integer_kernel_keeps_its_basis_uncopied():
+    columns, _, index_map = build_relation_system(24, path_support_partition(24, 1))
+    lattice = integer_kernel(columns, index_map)
+    assert lattice.vectors.base is None and not lattice.vectors.flags.writeable
+    same = RelationLattice(lattice.dimension, lattice.vectors, index_map)
+    assert same.vectors is lattice.vectors and same == lattice
+
+
+def test_lattice_fields_are_its_constructor_arguments():
+    lattice = RelationLattice(dimension=3, vectors=((1, -2, 1),), index_map=(1, 2, 3))
+    assert [f.name for f in dataclasses.fields(lattice)] == [
+        "dimension", "vectors", "index_map"]
+    moved = dataclasses.replace(lattice, index_map=(2, 3, 4))
+    assert moved.basis == lattice.basis and moved.index_map == (2, 3, 4)
+    assert dataclasses.replace(lattice, vectors=((1, 1, 0),)).basis == ((1, 1, 0),)
 
 
 def _tuple_parity(lattice, sigma):
