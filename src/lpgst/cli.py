@@ -1,9 +1,10 @@
 """Command-line front end: classification tables, single-instance decisions
 with certificates, and fidelity sweeps.
 
-Exit codes: 0 success, 2 usage or input error, 3 internal cross-check
-failure (the two decision routes disagree, or a certificate about to be
-printed fails re-verification; never expected). Output on
+Exit codes: 0 success, 1 stdout closed by its reader (as by `| head`),
+2 usage or input error, 3 internal cross-check failure (the two decision
+routes disagree, or a certificate about to be printed fails
+re-verification; never expected). Output on
 stdout is deterministic: records are sorted and floats are formatted at
 12 significant digits. Timing goes to stderr.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -33,9 +35,6 @@ MAX_CLASSIFY_WORK = 16_000_000
 
 # 12 significant digits: every float on stdout goes through one of these
 _fmt = "{:.12g}".format
-
-# Values per block of a streamed trace: the text held at once is one block's.
-TRACE_BLOCK = 65536
 
 # Below the smallest normal double a 12-digit token may carry more digits
 # than the float does, and repr writes fewer (5e-324 is 4.94065645841e-324).
@@ -97,9 +96,10 @@ _POINT = _words(["."])[0]
 _POW10 = 10.0 ** np.arange(16)
 _POW10_INT = 10 ** np.arange(16, dtype=np.int64)
 
-# Values formatted at a time: _digit_words's temporaries of 64 KB are
-# reused from the heap, where 65,536-value ones were mapped afresh (page
-# faults) on every call, and the piece's words stay in cache.
+# Values formatted and written at a time, so the trace text held at once
+# is one piece's: _digit_words's temporaries of 64 KB are reused from the
+# heap, where 65,536-value ones were mapped afresh (page faults) on every
+# call, and the piece's words stay in cache.
 _PIECE = 8192
 
 
@@ -157,19 +157,19 @@ def _digit_words(values: np.ndarray, out: np.ndarray, json_items: bool) -> np.nd
     return fits
 
 
-def _trace_text(columns: list[np.ndarray], separators: list[str],
-                json_items: bool) -> str:
-    """Row i holds the token of columns[j][i] followed by separators[j] for
-    each j; the text is the rows joined, without the last separator.
+def _trace_text(write, columns: list[np.ndarray], separators: list[str],
+                json_items: bool) -> None:
+    """Write the rows of the trace text, _PIECE rows per call of write:
+    row i holds the token of columns[j][i] followed by separators[j] for
+    each j, and the last row has no last separator.
 
-    _PIECE rows at a time, _digit_words writes the tokens it can as uint32
-    words and _fields the others, spliced in by one assignment; deleting
-    the NUL padding leaves the piece's text.
+    In each piece _digit_words writes the tokens it can as uint32 words
+    and _fields the others, spliced in by one assignment; deleting the
+    NUL padding leaves the piece's text.
     """
     n = columns[0].size
     buffer = np.empty((min(n, _PIECE), len(columns), 9), dtype=np.uint32)
     buffer[:, :, 8] = _words(separators)
-    pieces = []
     for s in range(0, n, _PIECE):
         words = buffer[:n - s]
         part = [values[s:s + _PIECE] for values in columns]
@@ -181,18 +181,7 @@ def _trace_text(columns: list[np.ndarray], separators: list[str],
             tokens[rest, :8] = _fields(np.stack(part, axis=1).ravel()[rest], json_items)
         if s + _PIECE >= n:
             words[-1, -1, 8] = 0
-        pieces.append(words.tobytes().translate(None, b"\0"))
-    return b"".join(pieces).decode("ascii")
-
-
-def _json_block(values: np.ndarray) -> str:
-    """The items of json.dumps([_round12(x) for x in values])."""
-    return _trace_text([values], [", "], json_items=True)
-
-
-def _csv_block(times: np.ndarray, fidelities: np.ndarray) -> str:
-    """CSV rows "%.12g,%.12g" of times and fidelities, joined by newlines."""
-    return _trace_text([times, fidelities], [",", "\n"], json_items=False)
+        write(words.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _parse_span(text: str) -> range:
@@ -358,18 +347,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (OSError, GraphParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # the trace is written one block at a time; no text of it is built whole
+    # the trace is written a piece at a time; no text of it is built whole
     out = sys.stdout.write
-    blocks = range(0, trace.times.size, TRACE_BLOCK)
     if args.format == "csv":
         out(f"# schema_version={SCHEMA_VERSION}\n"
             f"# sup_estimate={_fmt(trace.sup_estimate)}\n"
             f"# argmax_time={_fmt(trace.argmax_time)}\n"
-            "time,fidelity")
-        for s in blocks:
-            out("\n")
-            out(_csv_block(trace.times[s:s + TRACE_BLOCK],
-                           trace.fidelities[s:s + TRACE_BLOCK]))
+            "time,fidelity\n")
+        _trace_text(out, [trace.times, trace.fidelities], [",", "\n"],
+                    json_items=False)
         out("\n")
     else:
         record = {
@@ -391,10 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for key, values in (("times", trace.times),
                             ("fidelities", trace.fidelities)):
             out(f', "{key}": [')
-            for s in blocks:
-                if s:
-                    out(", ")
-                out(_json_block(values[s:s + TRACE_BLOCK]))
+            _trace_text(out, [values], [", "], json_items=True)
             out("]")
         out("}\n")
     return 0
@@ -451,7 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    code = args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

@@ -190,9 +190,8 @@ def _kernel_basis(mat: np.ndarray, dtype) -> np.ndarray | None:
     # whose first nonzero entry is negative
     first = kernel[np.arange(len(kernel)), np.argmax(kernel != 0, axis=1)]
     kernel[first < 0] *= -1
-    if dtype is object:
-        vecs = kernel.tolist()
-        return kernel[sorted(range(len(vecs)), key=vecs.__getitem__)]
+    # rows in lexicographic order; on object rows lexsort compares the
+    # Python ints themselves
     return kernel[np.lexsort(kernel.T[::-1])]
 
 

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpgst import _kernels, cli, cyclotomic, decision, spectra
-from lpgst.cli import (MAX_CLASSIFY_WORK, TRACE_BLOCK, _classify_work,
-                       _csv_block, _json_block, _round12, main)
+from lpgst.cli import (_PIECE, MAX_CLASSIFY_WORK, _classify_work, _round12,
+                       _trace_text, main)
 from lpgst.cyclotomic import MAX_TABLE_N, IntPolynomial, theta_table
 from lpgst.decision import classify_path, verify_witness
 from lpgst.graphs import laplacian
@@ -354,6 +354,23 @@ def test_repeated_eigenvalue_sweep_matches_golden_digest(tmp_path, monkeypatch,
     assert hashlib.sha256(out.encode()).hexdigest() == _REPEATED_SWEEPS[case]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--path", "15", "--from", "1,2", "--to", "14,15", "--tmax", "50",
+     "--steps", "1000000", "--format", "csv"],
+    ["classify", "--n", "2..300"]], ids=["sweep", "classify"])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader stops after the first line, as `| head -1` does, while
+    # most of the output is still to be written
+    child = subprocess.Popen([sys.executable, "-m", "lpgst.cli", *argv],
+                             env=dict(os.environ, PYTHONPATH=_SRC),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait() == 1
+    assert "Traceback" not in err and "Error" not in err
+
+
 def test_path_sweep_bytes_do_not_depend_on_blas_threads():
     # OpenBLAS splits a matrix-vector product between threads at a row that
     # depends on the row count, and rows next to the split round otherwise;
@@ -376,6 +393,21 @@ def _double(bits: int) -> float:
 
 
 _finite_doubles = st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
+
+
+def _written(columns, separators, json_items) -> list[str]:
+    """The texts the trace writer passes to write, one per call."""
+    pieces = []
+    _trace_text(pieces.append, columns, separators, json_items)
+    return pieces
+
+
+def _json_items(values: np.ndarray) -> str:
+    return "".join(_written([values], [", "], json_items=True))
+
+
+def _csv_rows(times: np.ndarray, fidelities: np.ndarray) -> str:
+    return "".join(_written([times, fidelities], [",", "\n"], json_items=False))
 
 
 # edges: signed zero, the 1e12..1e16 band where %g writes an exponent and
@@ -401,8 +433,8 @@ _finite_doubles = st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
                 min_size=1, max_size=64))
 def test_trace_formatters_match_per_float_formatting(xs):
     values = np.array(xs)
-    assert f"[{_json_block(values)}]" == json.dumps([_round12(x) for x in xs])
-    rows = _csv_block(values, values[::-1]).split("\n")
+    assert f"[{_json_items(values)}]" == json.dumps([_round12(x) for x in xs])
+    rows = _csv_rows(values, values[::-1]).split("\n")
     assert rows == [f"{t:.12g},{f:.12g}" for t, f in zip(values, values[::-1])]
 
 
@@ -427,14 +459,20 @@ def _decade_scan() -> np.ndarray:
 def test_trace_formatters_match_per_float_formatting_on_decade_scan():
     values = _decade_scan()
     xs = values.tolist()
-    assert f"[{_json_block(values)}]" == json.dumps([_round12(x) for x in xs])
-    assert _csv_block(values, values[::-1]) == "\n".join(
+    assert f"[{_json_items(values)}]" == json.dumps([_round12(x) for x in xs])
+    pieces = _written([values, values[::-1]], [",", "\n"], json_items=False)
+    assert "".join(pieces) == "\n".join(
         "%.12g,%.12g" % pair for pair in zip(xs, xs[::-1]))
+    # one write per piece of _PIECE rows, each written as it is built: no
+    # call carries more than one piece's rows
+    full, last = divmod(values.size - 1, _PIECE)
+    assert len(pieces) == math.ceil(values.size / _PIECE) > 2
+    assert [p.count("\n") for p in pieces] == [_PIECE] * full + [last]
 
 
 def _one_shot_sweep_stdout(trace, n, frm, to, tmax, steps, fmt):
     """sweep --path stdout as the whole text was built before the trace was
-    streamed in blocks: the reference for the block writer."""
+    streamed: the reference for the piece writer."""
     fmt12 = "{:.12g}".format
     if fmt == "csv":
         lines = ["# schema_version=1",
@@ -465,13 +503,14 @@ def _boundary_tmax(steps):
     return repr(math.pi / 2 * (steps - 1) / (steps - 1.5))
 
 
-# steps around the trace block: the trace is one value longer than the grid
-# when the refined point is inserted; the last two cases insert it as the
-# last row of the first block and as the first row of the second
-_BLOCK_SWEEPS = [(15, "317.123", steps) for steps in
-                 (TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 1)]
+# steps around the boundaries of the trace writer's pieces, after the first
+# piece and after the eighth: the trace is one value longer than the grid
+# when the refined point is inserted, and the 3-path cases insert it as the
+# last row of a piece and as the first row of the next
+_BLOCK_SWEEPS = [(15, "317.123", steps) for m in (1, 8) for steps in
+                 (m * _PIECE - 1, m * _PIECE, m * _PIECE + 1, 2 * m * _PIECE + 1)]
 _BLOCK_SWEEPS += [(3, _boundary_tmax(steps), steps)
-                  for steps in (TRACE_BLOCK, TRACE_BLOCK + 1)]
+                  for m in (1, 8) for steps in (m * _PIECE, m * _PIECE + 1)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

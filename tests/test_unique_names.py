@@ -1,7 +1,8 @@
 """A module that defines a top-level name twice keeps only the second
 definition: a shadowed test never runs and a shadowed function is dead
 code, with no warning from pytest or Python. An import that nothing reads
-is dead code of the same kind."""
+is dead code of the same kind, and so is a top-level name of the package
+that only tests read."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "lpgst").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "lpgst").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _duplicate_definitions(source: str) -> list[str]:
@@ -60,3 +61,44 @@ def test_unused_imports_are_found():
               "import numpy as np\nimport os.path\nfrom math import pi, tau\n"
               "def f(x: np.ndarray):\n    import sys\n    return os.path.join(tau)\n")
     assert _unused_imports(source) == ["numbers", "pi", "sys"]
+
+
+def _unread_top_level_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" for each name that a module's top level defines (def,
+    class or assignment) and that no module reads: as a name, an
+    attribute or an imported name. Dunder names are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [t.id for t in ast.walk(node)
+                         if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name not in read and not name.startswith("__")]
+    return sorted(unread)
+
+
+def test_every_package_name_is_read_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert _unread_top_level_names(sources) == []
+
+
+def test_unread_top_level_names_are_found():
+    sources = {"a": ("__all__ = ['f']\nLIMIT = 2\n_BLOCK, (x, y) = 3, (4, 5)\n"
+                     "def f():\n    return LIMIT + y\n"
+                     "def _only_tests():\n    pass\nclass C:\n    D = 1\n"),
+               "b": "from .a import f\nimport a\nprint(a.C)\n"}
+    assert _unread_top_level_names(sources) == ["a._BLOCK", "a._only_tests", "a.x"]
