@@ -3,8 +3,8 @@
 Exact verdicts on paths via cyclotomic integer arithmetic and lattice
 parity; numeric evidence on arbitrary graphs via spectral fidelity sweeps.
 """
-from .cyclotomic import (CycloElement, IntPolynomial, cyclotomic_polynomial,
-                         euler_phi, theta_element)
+from .cyclotomic import (IntPolynomial, cyclotomic_polynomial, euler_phi,
+                         theta_element)
 from .decision import (CrossCheck, PathClass, SamePairError, Verdict,
                        WitnessCheck, alternating_cosine_residual,
                        classify_path, cross_check, decide_path_lpgst,
@@ -16,16 +16,15 @@ from .pair_states import (FidelityTrace, NotCospectralError, SupportPartition,
                           strong_cospectrality, support, transfer_weights)
 from .relation_lattice import (RelationLattice, build_relation_system,
                                integer_kernel, parity_holds)
-from .spectra import (Spectrum, TransitionMatrix, eigendecompose,
-                      path_spectrum, projector_residuals, transition_matrix)
+from .spectra import (Spectrum, eigendecompose, path_spectrum,
+                      projector_residuals, transition_matrix)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossCheck", "CycloElement", "FidelityTrace",
-    "Graph", "GraphParseError", "IntPolynomial", "NotCospectralError",
-    "PathClass", "RelationLattice", "SamePairError",
-    "Spectrum", "SupportPartition", "TransitionMatrix", "Verdict",
+    "CrossCheck", "FidelityTrace", "Graph", "GraphParseError",
+    "IntPolynomial", "NotCospectralError", "PathClass", "RelationLattice",
+    "SamePairError", "Spectrum", "SupportPartition", "Verdict",
     "WitnessCheck", "alternating_cosine_residual", "build_relation_system",
     "classify_path", "cross_check",
     "cyclotomic_polynomial", "decide_path_lpgst", "eigendecompose",

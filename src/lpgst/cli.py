@@ -38,7 +38,7 @@ _fmt = "{:.12g}".format
 
 # Below the smallest normal double a 12-digit token may carry more digits
 # than the float does, and repr writes fewer (5e-324 is 4.94065645841e-324).
-_TINY = float(np.finfo(np.float64).tiny)
+_TINY = sys.float_info.min
 
 
 def _round12(x: float) -> float:
@@ -86,13 +86,11 @@ _PLAIN = _words(_DIGITS)
 _LEADING = np.concatenate([_words([d.lstrip("0").rjust(4, "\0")
                                    for d in _DIGITS]), _PLAIN])
 _TRAILING = np.concatenate([_words([d.rstrip("0") for d in _DIGITS]), _PLAIN])
-# the units word of an integer part below 1 is "0"; the first fraction word
-# of an integer-valued JSON item is "0" (it writes "2.0")
+# the units word of an integer part below 1 is "0"; the point word of an
+# integer-valued JSON item is ".0" (it writes "2.0")
 _UNITS = _LEADING.copy()
 _UNITS[0] = _words(["0".rjust(4, "\0")])[0]
-_TRAILING_JSON = _TRAILING.copy()
-_TRAILING_JSON[0] = _words(["0"])[0]
-_POINT = _words(["."])[0]
+_POINT, _JSON_END = _words([".", ".0"])
 _POW10 = 10.0 ** np.arange(16)
 _POW10_INT = 10 ** np.arange(16, dtype=np.int64)
 
@@ -151,9 +149,8 @@ def _digit_words(values: np.ndarray, out: np.ndarray, json_items: bool) -> np.nd
     out[:, 7] = _TRAILING.take(f3)
     out[:, 6] = _TRAILING.take(f2 + 10000 * (f3 != 0))
     out[:, 5] = _TRAILING.take(f1 + 10000 * (f23 != 0))
-    first = _TRAILING_JSON if json_items else _TRAILING
-    out[:, 4] = first.take(f0 + 10000 * ((f1 != 0) | (f23 != 0)))
-    out[:, 3] = _POINT if json_items else np.where(frac != 0, _POINT, 0)
+    out[:, 4] = _TRAILING.take(f0 + 10000 * ((f1 != 0) | (f23 != 0)))
+    out[:, 3] = np.where(frac != 0, _POINT, _JSON_END if json_items else 0)
     return fits
 
 

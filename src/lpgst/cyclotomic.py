@@ -174,31 +174,6 @@ def _over_binomial(poly: np.ndarray, d: int) -> np.ndarray:
     return quotient[:size - d]
 
 
-@dataclass(frozen=True)
-class CycloElement:
-    """Element of Z[x]/Phi_2n(x) as a fixed-length coefficient vector.
-
-    modulus_order is 2n; coefficients has length phi(2n), indexed by
-    power of the root.
-    """
-
-    modulus_order: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        expected = euler_phi(self.modulus_order)
-        if len(self.coefficients) != expected:
-            raise ValueError(
-                f"need {expected} coefficients for modulus order "
-                f"{self.modulus_order}, got {len(self.coefficients)}")
-
-    def evaluate_at_root(self) -> complex:
-        """Numeric value at the primitive root exp(2 pi i / modulus_order)."""
-        z = complex(math.cos(2 * math.pi / self.modulus_order),
-                    math.sin(2 * math.pi / self.modulus_order))
-        return IntPolynomial(self.coefficients).evaluate(z)
-
-
 # The exact route's one size bound. A table is at most n * n * 8 bytes and
 # its build holds two: 32 MiB at n = 2048, peaking 63 MiB above the process.
 # The lattice route's slowest cases below the bound, decide --n 2030..2048
@@ -267,9 +242,10 @@ def _theta_rows(n: int, phi: np.ndarray) -> np.ndarray:
     return rows
 
 
-def theta_element(n: int, k: int) -> CycloElement:
-    """Exact image of the path eigenvalue 2 - 2 cos(k pi / n): row k - 1 of
-    theta_table(n)."""
+def theta_element(n: int, k: int) -> np.ndarray:
+    """Exact image of the path eigenvalue 2 - 2 cos(k pi / n): a writable
+    int64 copy of row k - 1 of theta_table(n), so it does not keep an
+    evicted table alive."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
-    return CycloElement(2 * n, tuple(theta_table(n)[k - 1].tolist()))
+    return theta_table(n)[k - 1].copy()

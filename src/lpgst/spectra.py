@@ -71,14 +71,6 @@ class Spectrum:
         return projectors
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Unitary evolution operator at a fixed time (hbar = 1)."""
-
-    entries: np.ndarray
-    time: float
-
-
 def path_spectrum(n: int) -> Spectrum:
     """Closed-form Laplacian spectrum of the n-vertex path.
 
@@ -127,11 +119,11 @@ def eigendecompose(lap: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues, multiplicities, vectors)
 
 
-def transition_matrix(s: Spectrum, t: float) -> TransitionMatrix:
-    """U(t) = sum_r exp(-i t theta_r) F_r; unitary, identity at t = 0."""
+def transition_matrix(s: Spectrum, t: float) -> np.ndarray:
+    """U(t) = sum_r exp(-i t theta_r) F_r as an (n, n) complex array
+    (hbar = 1); unitary, identity at t = 0."""
     phases = np.repeat(np.exp(-1j * t * s.eigenvalues), s.multiplicities)
-    entries = (s.eigenvectors * phases) @ s.eigenvectors.T
-    return TransitionMatrix(entries=entries, time=float(t))
+    return (s.eigenvectors * phases) @ s.eigenvectors.T
 
 
 def projector_residuals(s: Spectrum, lap: np.ndarray | None = None) -> dict[str, float]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lpgst import cyclotomic
-from lpgst.cyclotomic import (MAX_TABLE_N, CycloElement, IntPolynomial,
+from lpgst.cyclotomic import (MAX_TABLE_N, IntPolynomial,
                               _over_binomial, _theta_rows,
                               cyclotomic_polynomial, euler_phi, theta_element,
                               theta_table)
@@ -150,9 +150,9 @@ def test_divmod_requires_monic():
 
 
 def test_theta_element_examples():
-    assert theta_element(4, 2).coefficients == (2, 0, 0, 0)
-    assert theta_element(3, 1).coefficients == (1, 0)
-    assert theta_element(3, 2).coefficients == (3, 0)
+    assert theta_element(4, 2).tolist() == [2, 0, 0, 0]
+    assert theta_element(3, 1).tolist() == [1, 0]
+    assert theta_element(3, 2).tolist() == [3, 0]
 
 
 def test_theta_element_range_check():
@@ -162,10 +162,22 @@ def test_theta_element_range_check():
         theta_element(5, 5)
 
 
+def test_theta_element_is_an_owned_table_row():
+    for n, k in ((2, 1), (9, 4), (64, 63), (600, 17)):
+        row = theta_element(n, k)
+        assert row.dtype == np.int64
+        assert row.flags.owndata and row.flags.writeable
+        assert np.array_equal(row, theta_table(n)[k - 1]), (n, k)
+    for n, k in ((5, 0), (5, 5), (MAX_TABLE_N + 1, 1)):
+        with pytest.raises(ValueError):
+            theta_element(n, k)
+
+
 def test_theta_element_matches_cosine_eigenvalues():
     for n in range(2, 65):
+        z = cmath.exp(1j * math.pi / n)
         for k in range(1, n):
-            value = theta_element(n, k).evaluate_at_root()
+            value = IntPolynomial(tuple(theta_element(n, k).tolist())).evaluate(z)
             target = 2.0 - 2.0 * math.cos(k * math.pi / n)
             assert abs(value - target) < 1e-9, (n, k)
 
@@ -186,13 +198,13 @@ def test_theta_element_matches_unreduced_division():
             coeffs[2 * n - k] -= 1
             _, rem = divmod(IntPolynomial(tuple(coeffs)), phi)
             padded = rem.coefficients + (0,) * (phi.degree - len(rem.coefficients))
-            assert theta_element(n, k).coefficients == padded, (n, k)
+            assert tuple(theta_element(n, k).tolist()) == padded, (n, k)
 
 
 def test_exact_combination_tracks_float_evaluation():
     rng = np.random.default_rng(41)
     for n in (5, 8, 9, 12):
-        thetas = [theta_element(n, k).coefficients for k in range(1, n)]
+        thetas = [theta_element(n, k) for k in range(1, n)]
         floats = [2.0 - 2.0 * math.cos(k * math.pi / n) for k in range(1, n)]
         for _ in range(40):
             coeffs = [int(c) for c in rng.integers(-3, 4, size=n - 1)]
@@ -244,14 +256,7 @@ def test_totient_and_cyclotomic_refuse_nonpositive_index():
         cyclotomic_polynomial(0)
 
 
-def test_cyclo_element_shape_checked():
-    with pytest.raises(ValueError):
-        CycloElement(8, (1, 2))  # phi(8) = 4
-    with pytest.raises(ValueError):
-        CycloElement(6, (1,) * 4)  # phi(6) = 2
-
-
 def test_theta_element_pads_to_full_width():
-    # k = n/2 gives the constant 2; the element keeps all phi(2n) slots
-    assert theta_element(4, 2).coefficients == (2, 0, 0, 0)
-    assert theta_element(6, 3).coefficients == (2, 0, 0, 0)
+    # k = n/2 gives the constant 2; the row keeps all phi(2n) slots
+    assert theta_element(4, 2).tolist() == [2, 0, 0, 0]
+    assert theta_element(6, 3).tolist() == [2, 0, 0, 0]

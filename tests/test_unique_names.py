@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import lpgst
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "lpgst").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
@@ -102,3 +104,15 @@ def test_unread_top_level_names_are_found():
                      "def _only_tests():\n    pass\nclass C:\n    D = 1\n"),
                "b": "from .a import f\nimport a\nprint(a.C)\n"}
     assert _unread_top_level_names(sources) == ["a._BLOCK", "a._only_tests", "a.x"]
+
+
+def test_package_all_matches_its_imports():
+    # a stale __all__ entry breaks `from lpgst import *`
+    init = ROOT / "src" / "lpgst" / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names}
+    assert len(lpgst.__all__) == len(set(lpgst.__all__))
+    assert [name for name in lpgst.__all__ if not hasattr(lpgst, name)] == []
+    assert set(lpgst.__all__) == imported
