@@ -18,8 +18,8 @@ import time
 
 import numpy as np
 
-from .decision import SamePairError, cross_check, path_class, verify_witness
-from .graphs import GraphParseError, laplacian, parse_graph
+from .decision import cross_check, path_class, verify_witness
+from .graphs import laplacian, parse_graph
 from .pair_states import check_sweep_grid, fidelity_sweep, pair_vector
 from .spectra import check_vertex_count, eigendecompose, path_spectrum
 
@@ -45,6 +45,10 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
+# no token holds a space, so only the padding turns into NULs
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+
+
 def _fields(values: np.ndarray, json_items: bool) -> np.ndarray:
     """The token of each value by the per-value rule, one row of eight
     uint32 words (NUL-padded) per value.
@@ -68,8 +72,8 @@ def _fields(values: np.ndarray, json_items: bool) -> np.ndarray:
         for i in np.flatnonzero(special).tolist():
             fmt[i] = b"%-32s"
             items[i] = repr(_round12(items[i])).encode("ascii")
-    text = np.frombuffer(b"".join(fmt) % tuple(items), dtype=np.uint8)
-    return np.where(text == ord(" "), 0, text).view(np.uint32).reshape(-1, 8)
+    text = (b"".join(fmt) % tuple(items)).translate(_SPACE_TO_NUL)
+    return np.frombuffer(text, dtype=np.uint32).reshape(-1, 8)
 
 
 def _words(texts: list[str]) -> np.ndarray:
@@ -293,7 +297,7 @@ def _span_text(span) -> str:
 def cmd_decide(args: argparse.Namespace) -> int:
     try:
         check = cross_check(args.n, args.a)
-    except (SamePairError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     closed, lattice = check.closed_form, check.lattice
@@ -341,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     else eigendecompose(laplacian(graph)))
         trace = fidelity_sweep(spectrum, args.from_pair, args.to_pair,
                                args.tmax, args.steps)
-    except (OSError, GraphParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # the trace is written a piece at a time; no text of it is built whole

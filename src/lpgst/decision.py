@@ -28,8 +28,9 @@ RULE_ODD_COMPOSITE = "odd-composite-factor"
 
 # Largest n a no-instance's witness is built for, checked before any O(n)
 # object. Building and re-verifying one is linear in n: classify_path then
-# verify_witness at n = 2**20 - 1 takes 12 + 133 ms and peaks at 164 MB in
-# a child process (2-core x86-64 VM), below the 280 MB of decide --n 2047.
+# verify_witness at n = 2**20 - 1 takes 17 + 91 ms and peaks at 88 MB in a
+# child process (2-core x86-64 VM, best of 3), below the 249 MB of
+# decide --n 2047 --a 1 --certificate.
 MAX_WITNESS_N = 2 ** 20
 
 
@@ -99,7 +100,9 @@ def _mirror_pairs(n: int, a: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def factor_two_power(n: int) -> tuple[int, int]:
-    """(t, m) with n = 2^t * m and m odd."""
+    """(t, m) with n = 2^t * m and m odd. Raises ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     t = 0
     while n % 2 == 0:
         n //= 2
@@ -108,7 +111,10 @@ def factor_two_power(n: int) -> tuple[int, int]:
 
 
 def path_class(n: int, a: int) -> PathClass:
-    """Mutually exclusive instance class from the factorization of n."""
+    """Mutually exclusive instance class from the factorization of n.
+    Raises ValueError unless n >= 2."""
+    if n < 2:
+        raise ValueError(f"path needs at least 2 vertices, got {n}")
     t, m = factor_two_power(n)
     if m == 1:
         kind = RULE_POWER_OF_TWO
@@ -163,7 +169,7 @@ def _lattice_verdict(n: int, q: int) -> tuple[bool, tuple[int, ...] | None]:
     exclusion period q, computed at the offset a = n // q."""
     part = path_support_partition(n, n // q)
     columns, sigma, index_map = build_relation_system(n, part)
-    lattice = integer_kernel(columns, index_map)
+    lattice = integer_kernel(columns)
     holds, bad = parity_holds(lattice, sigma)
     if holds:
         return True, None

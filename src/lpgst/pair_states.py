@@ -37,7 +37,7 @@ class NotCospectralError(ValueError):
 
 @dataclass(frozen=True)
 class SupportPartition:
-    """Support eigenvalues split by cospectrality sign, plus the complement.
+    """Support eigenvalues split by cospectrality sign.
 
     Members are positions in the increasing distinct-eigenvalue list; for
     a path spectrum these coincide with the cosine index k.
@@ -45,7 +45,6 @@ class SupportPartition:
 
     plus: frozenset[int]
     minus: frozenset[int]
-    excluded: frozenset[int]
 
     @property
     def support(self) -> frozenset[int]:
@@ -116,17 +115,17 @@ def strong_cospectrality(s: Spectrum, p1: tuple[int, int],
     diffs = s.group_norms(u - v)
     sums = s.group_norms(u + v)
     thresh = SUPPORT_TOL * math.sqrt(2.0)
-    plus, minus, excluded = set(), set(), set()
+    plus, minus = set(), set()
     for r, (diff, summ) in enumerate(zip(diffs, sums)):
         if diff <= thresh and summ <= thresh:
-            excluded.add(r)
-        elif diff <= thresh:
+            continue
+        if diff <= thresh:
             plus.add(r)
         elif summ <= thresh:
             minus.add(r)
         else:
             raise NotCospectralError(float(s.eigenvalues[r]), r)
-    return SupportPartition(frozenset(plus), frozenset(minus), frozenset(excluded))
+    return SupportPartition(frozenset(plus), frozenset(minus))
 
 
 def exclusion_period(n: int, a: int) -> int:
@@ -147,8 +146,7 @@ def path_support_partition(n: int, a: int) -> SupportPartition:
     """
     excluded = frozenset(range(0, n, exclusion_period(n, a)))
     return SupportPartition(plus=frozenset(range(1, n, 2)) - excluded,
-                            minus=frozenset(range(0, n, 2)) - excluded,
-                            excluded=excluded)
+                            minus=frozenset(range(0, n, 2)) - excluded)
 
 
 def check_sweep_grid(t_max: float, steps: int) -> None:

@@ -42,16 +42,14 @@ class RelationLattice:
     entry does not fit. It is given as integer rows, tuples or an array;
     an array the caller can still write to is copied. basis is the same
     vectors as tuples of Python ints, built the first time it is read.
-    index_map sends each position to its eigenvalue index. Lattices
-    compare and hash by (dimension, basis, index_map), whichever form
-    their basis was given in.
+    Lattices compare and hash by (dimension, basis), whichever form their
+    basis was given in.
     """
 
     dimension: int
     vectors: np.ndarray
-    index_map: tuple[int, ...]
 
-    def __init__(self, dimension: int, vectors, index_map: tuple[int, ...]):
+    def __init__(self, dimension: int, vectors):
         arr = (_exact_array(vectors) if len(vectors)
                else np.zeros((0, dimension), dtype=np.int64))
         if arr.ndim != 2 or arr.shape[1] != dimension:
@@ -64,7 +62,6 @@ class RelationLattice:
         arr.flags.writeable = False
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vectors", arr)
-        object.__setattr__(self, "index_map", index_map)
 
     @functools.cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
@@ -77,15 +74,13 @@ class RelationLattice:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.dimension, self.basis, self.index_map)
-                == (other.dimension, other.basis, other.index_map))
+        return (self.dimension, self.basis) == (other.dimension, other.basis)
 
     def __hash__(self):
-        return hash((self.dimension, self.basis, self.index_map))
+        return hash((self.dimension, self.basis))
 
 
-def integer_kernel(columns: list[tuple[int, ...]],
-                   index_map: tuple[int, ...] | None = None) -> RelationLattice:
+def integer_kernel(columns: list[tuple[int, ...]]) -> RelationLattice:
     """Basis of {v integer : sum_j v_j * columns[j] = 0}, exactly.
 
     Runs gcd-style column elimination row by row on an integer array,
@@ -96,17 +91,12 @@ def integer_kernel(columns: list[tuple[int, ...]],
     every entry stays below 2**31 and is redone on Python ints (an object
     array) as soon as one does not; the basis is the same either way. The
     product of the input matrix with the basis array is re-verified
-    exactly before the lattice keeps it. Raises ValueError unless
-    every entry is an integer and index_map has one entry per column.
+    exactly before the lattice keeps it. Raises ValueError unless every
+    entry is an integer.
     """
     d = len(columns)
-    if index_map is None:
-        index_map = tuple(range(d))
-    elif len(index_map) != d:
-        raise ValueError(f"index_map has {len(index_map)} entries "
-                         f"for {d} columns")
     if d == 0:
-        return RelationLattice(0, (), index_map)
+        return RelationLattice(0, ())
     # a 2-D array cannot be ragged, so only other input is scanned by row
     if not (isinstance(columns, np.ndarray) and columns.ndim == 2):
         rows = len(columns[0])
@@ -122,7 +112,7 @@ def integer_kernel(columns: list[tuple[int, ...]],
     if not _product_is_zero(mat, basis):
         raise AssertionError("kernel verification failed")
     basis.flags.writeable = False       # the lattice keeps it without a copy
-    return RelationLattice(d, basis, index_map)
+    return RelationLattice(d, basis)
 
 
 # int64 elimination is exact while every entry stays below 2**31: a

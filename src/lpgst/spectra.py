@@ -102,8 +102,8 @@ def eigendecompose(lap: np.ndarray) -> Spectrum:
 
     Eigenvalues closer than 1e-8 * (1 + spectral radius) are merged into
     one multiplicity group, whose eigenvalue is their mean; the
-    eigenvectors are LAPACK's, columns and signs as returned. Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK
-    fails to converge.
+    eigenvectors are LAPACK's, columns and signs as returned. Raises
+    numpy.linalg.LinAlgError (a ValueError) if LAPACK fails to converge.
     """
     a = np.asarray(lap, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -112,10 +112,12 @@ def eigendecompose(lap: np.ndarray) -> Spectrum:
         raise ValueError("matrix is not symmetric")
 
     diag, vectors = np.linalg.eigh(a)
-    radius = float(np.abs(diag).max()) if diag.size else 0.0
-    groups = _group_close(diag, 1e-8 * (1.0 + radius))
-    eigenvalues = np.array([diag[lo:hi].mean() for lo, hi in groups])
-    multiplicities = np.array([hi - lo for lo, hi in groups], dtype=np.int64)
+    tol = 1e-8 * (1.0 + float(np.abs(diag).max()))
+    # a group starts wherever the gap to the previous eigenvalue exceeds tol
+    starts = np.flatnonzero(np.diff(diag, prepend=-np.inf) > tol)
+    multiplicities = np.diff(starts, append=diag.size)
+    eigenvalues = np.array([diag[lo:lo + m].mean() for lo, m
+                            in zip(starts.tolist(), multiplicities.tolist())])
     return Spectrum(eigenvalues, multiplicities, vectors)
 
 
@@ -150,15 +152,3 @@ def projector_residuals(s: Spectrum, lap: np.ndarray | None = None) -> dict[str,
         rebuilt = np.einsum("r,rij->ij", s.eigenvalues, s.projectors)
         res["reconstruction"] = float(np.abs(rebuilt - np.asarray(lap, dtype=float)).max())
     return res
-
-
-def _group_close(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Partition a sorted array into runs whose adjacent gaps are <= tol."""
-    groups = []
-    lo = 0
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] > tol:
-            groups.append((lo, i))
-            lo = i
-    groups.append((lo, values.size))
-    return groups

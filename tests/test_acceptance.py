@@ -291,8 +291,8 @@ def test_criterion_9_lattice_saturation_and_parity():
     checked = 0
     for n, a in _valid_instances(12):
         part = path_support_partition(n, a)
-        columns, sigma, index_map = build_relation_system(n, part)
-        lattice = integer_kernel(columns, index_map)
+        columns, sigma, _ = build_relation_system(n, part)
+        lattice = integer_kernel(columns)
         is_yes = classify_path(n, a).has_lpgst
         solutions = _box_solutions(columns, box=3)
         inside = _lattice_membership(lattice.basis, solutions)

@@ -28,6 +28,18 @@ def test_factor_two_power():
     assert factor_two_power(18) == (1, 9)
 
 
+def test_path_class_refuses_paths_without_edges():
+    # factor_two_power(0) halved 0 forever, and path_class(1, 1) called the
+    # one-vertex path a power of two
+    for n in (-3, 0, 1):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            path_class(n, 1)
+    for n in (-4, 0):
+        with pytest.raises(ValueError, match="at least 1"):
+            factor_two_power(n)
+    assert factor_two_power(1) == (0, 1)
+
+
 def test_path_class_kinds():
     assert path_class(8, 3).kind == RULE_POWER_OF_TWO
     assert path_class(7, 1).kind == RULE_ODD_PRIME
@@ -224,7 +236,7 @@ def _partition_witness_check(n, a, relation):
     return (sum(relation) == 0,
             bool(decision._theta_sums_vanish(n, _exact_array([relation]))[0]),
             sigma_sum % 2 != 0,
-            all(relation[k - 1] == 0 for k in part.excluded if 1 <= k <= n - 1),
+            all(relation[k - 1] == 0 for k in range(1, n) if k not in part.support),
             sigma_sum)
 
 
@@ -291,7 +303,7 @@ def _kernel_rows(n, a):
     """The lattice route's kernel basis for (n, a), one row per vector,
     expanded to the entries k = 1..n-1."""
     columns, _, index_map = build_relation_system(n, path_support_partition(n, a))
-    lattice = integer_kernel(columns, index_map)
+    lattice = integer_kernel(columns)
     rows = np.zeros((lattice.rank, n - 1), dtype=np.int64)
     rows[:, np.array(index_map) - 1] = np.array(
         lattice.basis, dtype=np.int64).reshape(lattice.rank, lattice.dimension)
@@ -462,7 +474,7 @@ def _pipeline_verdict(n, a):
     """The lattice pipeline run at a itself, with no memo."""
     columns, sigma, index_map = build_relation_system(
         n, path_support_partition(n, a))
-    holds, bad = parity_holds(integer_kernel(columns, index_map), sigma)
+    holds, bad = parity_holds(integer_kernel(columns), sigma)
     frm, to = (a, a + 1), (n - a, n - a + 1)
     if holds:
         return decision.Verdict(True, frm, to)
@@ -565,7 +577,7 @@ def test_kernel_basis_mirror_symmetry_for_two_power_times_prime():
                 continue
             part = path_support_partition(n, a)
             columns, _, index_map = build_relation_system(n, part)
-            lattice = integer_kernel(columns, index_map)
+            lattice = integer_kernel(columns)
             pos = {k: i for i, k in enumerate(index_map)}
             for vec in lattice.basis:
                 for k in range(2, n - 1, 2):
@@ -607,7 +619,9 @@ def test_partition_and_witness_match_per_k_loops(monkeypatch):
     instances = [(n, a) for n in range(2, 201) for a in range(1, n)]
     for n, a in instances:
         part = path_support_partition(n, a)
-        assert (part.plus, part.minus, part.excluded) == _loop_support_partition(n, a)
+        plus, minus, excluded = _loop_support_partition(n, a)
+        assert (part.plus, part.minus) == (plus, minus)
+        assert not excluded & part.support
     witnesses = [witness_relation(n, a) for n, a in instances if 2 * a != n]
     monkeypatch.setattr(decision, "_residue_witness", _loop_residue_witness)
     assert witnesses == [witness_relation(n, a) for n, a in instances if 2 * a != n]

@@ -117,11 +117,13 @@ def test_support_weights_sum_to_two():
 
 def test_path_support_partition_examples():
     p = path_support_partition(4, 1)
-    assert (sorted(p.plus), sorted(p.minus), sorted(p.excluded)) == ([1, 3], [2], [0])
+    assert (sorted(p.plus), sorted(p.minus)) == ([1, 3], [2])
+    assert not {0} & p.support
     p = path_support_partition(4, 2)
-    assert (sorted(p.plus), sorted(p.minus), sorted(p.excluded)) == ([1, 3], [], [0, 2])
+    assert (sorted(p.plus), sorted(p.minus)) == ([1, 3], [])
+    assert not {0, 2} & p.support
     p = path_support_partition(9, 3)
-    assert sorted(p.excluded) == [0, 3, 6]
+    assert not {0, 3, 6} & p.support
     assert sorted(p.plus) == [1, 5, 7]
     assert sorted(p.minus) == [2, 4, 8]
 

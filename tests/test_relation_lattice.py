@@ -56,7 +56,7 @@ def test_integer_kernel_path_four_system():
     assert index_map == (1, 2, 3)
     assert sigma.dtype == np.int64 and sigma.tolist() == [0, 1, 0]
     assert all(col[-1] == 1 for col in columns)  # zero-sum constraint row
-    lattice = integer_kernel(columns, index_map)
+    lattice = integer_kernel(columns)
     assert lattice.basis == ((1, -2, 1),)
 
 
@@ -66,7 +66,7 @@ def test_integer_kernel_injective_map_has_empty_kernel():
 
 
 def test_integer_kernel_of_no_columns_is_empty():
-    assert integer_kernel([]) == RelationLattice(0, (), ())
+    assert integer_kernel([]) == RelationLattice(0, ())
 
 
 def test_integer_kernel_zero_column():
@@ -114,13 +114,12 @@ def test_build_relation_system_small_paths():
     columns, _, index_map = build_relation_system(2, path_support_partition(2, 1))
     assert index_map == (1,)
     assert columns.tolist() == [[2, 0, 1]]
-    assert integer_kernel(columns, index_map).basis == ()
+    assert integer_kernel(columns).basis == ()
 
 
 def test_build_relation_system_rejects_empty_support():
     part = path_support_partition(4, 1)
-    empty = type(part)(plus=frozenset(), minus=frozenset(),
-                       excluded=part.plus | part.minus | part.excluded)
+    empty = type(part)(plus=frozenset(), minus=frozenset())
     with pytest.raises(ValueError, match="degenerate"):
         build_relation_system(4, empty)
 
@@ -129,22 +128,21 @@ def test_build_relation_system_rejects_indices_off_the_path():
     # k = 0 and k = n have no eigenvalue row (theta_element refuses them too)
     part = path_support_partition(4, 1)
     for k in (0, 4):
-        bad = type(part)(plus=part.plus | {k}, minus=part.minus,
-                         excluded=part.excluded - {k})
+        bad = type(part)(plus=part.plus | {k}, minus=part.minus)
         with pytest.raises(ValueError, match="must lie in 1..3"):
             build_relation_system(4, bad)
 
 
 def test_parity_holds_even_basis():
-    lattice = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
+    lattice = RelationLattice(3, ((1, -2, 1),))
     holds, witness = parity_holds(lattice, (0, 1, 0))
     assert holds and witness is None
 
 
 def test_parity_holds_odd_basis_returns_certificate():
     part = path_support_partition(9, 1)
-    columns, sigma, index_map = build_relation_system(9, part)
-    lattice = integer_kernel(columns, index_map)
+    columns, sigma, _ = build_relation_system(9, part)
+    lattice = integer_kernel(columns)
     holds, witness = parity_holds(lattice, sigma)
     assert not holds
     assert witness in lattice.basis
@@ -152,13 +150,13 @@ def test_parity_holds_odd_basis_returns_certificate():
 
 
 def test_parity_holds_empty_basis_vacuous():
-    lattice = RelationLattice(2, (), (1, 2))
+    lattice = RelationLattice(2, ())
     holds, witness = parity_holds(lattice, [1, 1])
     assert holds and witness is None
 
 
 def test_parity_holds_dimension_check():
-    lattice = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
+    lattice = RelationLattice(3, ((1, -2, 1),))
     with pytest.raises(ValueError, match="dimension"):
         parity_holds(lattice, np.array([0, 1]))
 
@@ -166,12 +164,12 @@ def test_parity_holds_dimension_check():
 def test_parity_holds_refuses_marks_outside_zero_one():
     # a per-entry product sum read 2 as even and 0.5 as odd, and a
     # compress would read both as 1: neither is a 0/1 mark
-    lattice = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
+    lattice = RelationLattice(3, ((1, -2, 1),))
     for marks in [(0, 2, 0), (0, 0.5, 0), (0, -1, 0), np.array([[0], [1], [0]]),
                   (0, 2 ** 70, 0), ("0", "1", "0")]:
         with pytest.raises(ValueError, match="0 or 1"):
             parity_holds(lattice, marks)
-    odd = RelationLattice(3, ((1, 1, 0),), (1, 2, 3))
+    odd = RelationLattice(3, ((1, 1, 0),))
     for marks in [np.array([False, True, False]), np.array([0, 1, 0], dtype=np.int64),
                   (0, True, 0), np.array([0, 1, 0], dtype=object)]:
         assert parity_holds(lattice, marks) == (True, None)
@@ -180,9 +178,9 @@ def test_parity_holds_refuses_marks_outside_zero_one():
 
 def test_parity_invariant_under_unimodular_basis_change():
     for n, a in [(9, 1), (8, 1), (12, 1), (12, 2), (15, 2)]:
-        columns, sigma, index_map = build_relation_system(
+        columns, sigma, _ = build_relation_system(
             n, path_support_partition(n, a))
-        lattice = integer_kernel(columns, index_map)
+        lattice = integer_kernel(columns)
         expected, _ = parity_holds(lattice, sigma)
         basis = [list(v) for v in lattice.basis]
         if len(basis) >= 2:
@@ -191,8 +189,7 @@ def test_parity_invariant_under_unimodular_basis_change():
             basis[-1] = [-x for x in basis[-1]]
             basis[0], basis[-1] = basis[-1], basis[0]
         transformed = RelationLattice(lattice.dimension,
-                                      tuple(tuple(v) for v in basis),
-                                      index_map)
+                                      tuple(tuple(v) for v in basis))
         got, _ = parity_holds(transformed, sigma)
         assert got == expected, (n, a)
 
@@ -203,30 +200,20 @@ def test_restricted_and_generalized_systems_agree():
             if 2 * a == n:
                 continue
             part = path_support_partition(n, a)
-            cols_r, sig_r, idx_r = build_relation_system(n, part)
+            cols_r, sig_r, _ = build_relation_system(n, part)
             # every k in 1..n-1 enters; excluded k count as plus (sigma 0)
-            wide = SupportPartition(part.plus | (part.excluded - {0}),
-                                    part.minus, frozenset({0}))
+            wide = SupportPartition(frozenset(range(1, n)) - part.minus,
+                                    part.minus)
             cols_g, sig_g, idx_g = build_relation_system(n, wide)
             assert idx_g == tuple(range(1, n))
-            holds_r, _ = parity_holds(integer_kernel(cols_r, idx_r), sig_r)
-            holds_g, _ = parity_holds(integer_kernel(cols_g, idx_g), sig_g)
+            holds_r, _ = parity_holds(integer_kernel(cols_r), sig_r)
+            holds_g, _ = parity_holds(integer_kernel(cols_g), sig_g)
             assert holds_r == holds_g, (n, a)
 
 
 def test_columns_must_share_length():
     with pytest.raises(ValueError, match="same length"):
         integer_kernel([(1, 2), (1,)])
-
-
-def test_integer_kernel_refuses_index_map_of_wrong_length():
-    # a one-entry map on a dimension-3 lattice let the certificate
-    # expansion in decide_path_lpgst drop entries
-    for columns, index_map in [([(1,), (2,), (3,)], (5,)),
-                               ([(1,), (2,)], (1, 2, 3)), ([], (1,))]:
-        with pytest.raises(ValueError, match="index_map"):
-            integer_kernel(columns, index_map)
-    assert integer_kernel([(1,), (2,)], (4, 7)).index_map == (4, 7)
 
 
 def test_integer_kernel_rejects_non_integer_entries():
@@ -427,6 +414,7 @@ def test_integer_kernel_matches_frozen_reference(columns):
     assert relation_lattice._product_is_zero(columns, lattice.basis)
     assert all(_in_lattice(lattice.basis, vec) for vec in reference)
     assert all(type(v) is int for vec in lattice.basis for v in vec)
+    assert hash(lattice) == hash((len(columns), lattice.basis))
 
 
 # Inputs below 2**31 whose first int64 step has pivot 1 and outgrows
@@ -516,56 +504,57 @@ def test_tracer_entry_count_is_json_serializable():
 
 
 def test_lattices_from_tuples_compare_and_hash_as_before():
-    columns, _, index_map = build_relation_system(4, path_support_partition(4, 1))
-    computed = integer_kernel(columns, index_map)
-    given_tuples = RelationLattice(3, ((1, -2, 1),), (1, 2, 3))
-    given_array = RelationLattice(3, np.array([[1, -2, 1]]), (1, 2, 3))
+    columns, _, _ = build_relation_system(4, path_support_partition(4, 1))
+    computed = integer_kernel(columns)
+    given_tuples = RelationLattice(3, ((1, -2, 1),))
+    given_array = RelationLattice(3, np.array([[1, -2, 1]]))
     for lattice in (computed, given_tuples, given_array):
         assert lattice == given_tuples
-        assert hash(lattice) == hash((3, ((1, -2, 1),), (1, 2, 3)))
+        assert hash(lattice) == hash((3, ((1, -2, 1),)))
     assert len({computed, given_tuples, given_array}) == 1
-    assert given_tuples != RelationLattice(3, ((1, -2, 2),), (1, 2, 3))
-    assert given_tuples != RelationLattice(3, ((1, -2, 1),), (1, 2, 4))
-    assert given_tuples != (3, ((1, -2, 1),), (1, 2, 3))
-    assert integer_kernel([]) == RelationLattice(0, (), ())
-    assert hash(RelationLattice(2, (), (1, 2))) == hash((2, (), (1, 2)))
+    assert given_tuples != RelationLattice(3, ((1, -2, 2),))
+    assert given_tuples != RelationLattice(4, ((1, -2, 1, 0),))
+    assert given_tuples != (3, ((1, -2, 1),))
+    assert integer_kernel([]) == RelationLattice(0, ())
+    assert hash(RelationLattice(2, ())) == hash((2, ()))
+    # every lattice integer_kernel returns is hashable
+    assert hash(integer_kernel([(1,), (2,)])) == hash((2, ((2, -1),)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         given_tuples.dimension = 4
     with pytest.raises(ValueError):
         given_array.vectors[0, 0] = 5
     with pytest.raises(ValueError, match="3 entries"):
-        RelationLattice(3, ((1, -2),), (1, 2, 3))
+        RelationLattice(3, ((1, -2),))
 
 
 def test_lattice_does_not_follow_writes_to_the_callers_array():
     source = np.array([[1, -2, 1]])
-    lattice = RelationLattice(3, source, (1, 2, 3))
+    lattice = RelationLattice(3, source)
     hashed = hash(lattice)
     source[0, 1] = 1                    # odd on (0, 1, 0) if it reached the lattice
     assert lattice.vectors.tolist() == [[1, -2, 1]]
     assert parity_holds(lattice, (0, 1, 0)) == (True, None)
     view = source[:, :].view()
     view.flags.writeable = False        # read-only, but source still writes it
-    from_view = RelationLattice(3, view, (1, 2, 3))
+    from_view = RelationLattice(3, view)
     source[0, 1] = -2
     assert from_view.basis == ((1, 1, 1),) and hash(lattice) == hashed
 
 
 def test_integer_kernel_keeps_its_basis_uncopied():
-    columns, _, index_map = build_relation_system(24, path_support_partition(24, 1))
-    lattice = integer_kernel(columns, index_map)
+    columns, _, _ = build_relation_system(24, path_support_partition(24, 1))
+    lattice = integer_kernel(columns)
     assert lattice.vectors.base is None and not lattice.vectors.flags.writeable
-    same = RelationLattice(lattice.dimension, lattice.vectors, index_map)
+    same = RelationLattice(lattice.dimension, lattice.vectors)
     assert same.vectors is lattice.vectors and same == lattice
 
 
 def test_lattice_fields_are_its_constructor_arguments():
-    lattice = RelationLattice(dimension=3, vectors=((1, -2, 1),), index_map=(1, 2, 3))
-    assert [f.name for f in dataclasses.fields(lattice)] == [
-        "dimension", "vectors", "index_map"]
-    moved = dataclasses.replace(lattice, index_map=(2, 3, 4))
-    assert moved.basis == lattice.basis and moved.index_map == (2, 3, 4)
+    lattice = RelationLattice(dimension=3, vectors=((1, -2, 1),))
+    assert [f.name for f in dataclasses.fields(lattice)] == ["dimension", "vectors"]
     assert dataclasses.replace(lattice, vectors=((1, 1, 0),)).basis == ((1, 1, 0),)
+    with pytest.raises(ValueError, match="4 entries"):
+        dataclasses.replace(lattice, dimension=4)
 
 
 def _tuple_parity(lattice, sigma):
@@ -581,9 +570,9 @@ def test_array_parity_matches_tuple_parity_up_to_64():
     verdicts = collections.Counter()
     for n in range(2, 65):
         for q in sorted({n // math.gcd(a, n) for a in range(1, n) if 2 * a != n}):
-            columns, sigma, index_map = build_relation_system(
+            columns, sigma, _ = build_relation_system(
                 n, path_support_partition(n, n // q))
-            lattice = integer_kernel(columns, index_map)
+            lattice = integer_kernel(columns)
             holds, witness = parity_holds(lattice, sigma)
             assert (holds, witness) == _tuple_parity(lattice, sigma), (n, q)
             verdicts[holds] += 1
@@ -593,11 +582,11 @@ def test_array_parity_matches_tuple_parity_up_to_64():
 def test_array_parity_is_exact_past_int64():
     # int64 sums that wrap keep their low bit; object rows sum exactly
     big = 2 ** 62 + 1
-    wrapping = RelationLattice(3, ((big, 2 ** 62, big),), (1, 2, 3))
+    wrapping = RelationLattice(3, ((big, 2 ** 62, big),))
     assert wrapping.vectors.dtype == np.int64
     assert parity_holds(wrapping, (1, 1, 1)) == (True, None)      # 3 * 2**62 + 2
     assert parity_holds(wrapping, (1, 1, 0)) == (False, (big, 2 ** 62, big))
-    huge = RelationLattice(2, ((2, 2 ** 70), (1, 2 ** 70 + 1)), (1, 2))
+    huge = RelationLattice(2, ((2, 2 ** 70), (1, 2 ** 70 + 1)))
     assert huge.vectors.dtype == object
     assert parity_holds(huge, (0, 1)) == (False, (1, 2 ** 70 + 1))
     assert parity_holds(huge, (1, 1)) == (True, None)
