@@ -88,9 +88,13 @@ class IntPolynomial:
 
 
 def euler_phi(m: int) -> int:
-    """Euler's totient by trial-division factorization."""
+    """Euler's totient by trial-division factorization. Raises ValueError
+    unless 1 <= m <= 2 * MAX_TABLE_N, the largest index a table reads."""
     if m < 1:
         raise ValueError(f"totient needs a positive argument, got {m}")
+    if m > 2 * MAX_TABLE_N:
+        raise ValueError(f"totient needs an argument at most {2 * MAX_TABLE_N}, "
+                         f"got {m}")
     result = m
     for p in _prime_factors(m):
         result -= result // p
@@ -111,9 +115,13 @@ def _prime_factors(m: int) -> list[int]:
 
 def cyclotomic_polynomial(m: int) -> IntPolynomial:
     """The m-th cyclotomic polynomial, by the Moebius product (see
-    _cyclotomic_array)."""
+    _cyclotomic_array). Raises ValueError unless 1 <= m <= 2 * MAX_TABLE_N,
+    before anything is factored or allocated."""
     if m < 1:
         raise ValueError(f"cyclotomic index must be positive, got {m}")
+    if m > 2 * MAX_TABLE_N:
+        raise ValueError(
+            f"cyclotomic index must be at most {2 * MAX_TABLE_N}, got {m}")
     return IntPolynomial(tuple(_cyclotomic_array(m).tolist()))
 
 
@@ -177,9 +185,9 @@ def _over_binomial(poly: np.ndarray, d: int) -> np.ndarray:
 # The exact route's one size bound. A table is at most n * n * 8 bytes and
 # its build holds two: 32 MiB at n = 2048, peaking 63 MiB above the process.
 # The lattice route's slowest cases below the bound, decide --n 2030..2048
-# --a 1 --certificate, take 0.23-0.31 s and peak at 210-248 MB end to end
-# (child processes, best of 3, 2-core x86-64 VM; 0.27-0.36 s before the
-# kernel basis stayed an array).
+# --a 1 --certificate, take 0.51-1.04 s (n = 2030 the slowest) and peak at
+# 211-249 MB end to end (child processes, one BLAS thread, best of 3, on a
+# 2-core x86-64 VM where a loop of 10M Python additions takes 0.95-1.4 s).
 MAX_TABLE_N = 2048
 
 

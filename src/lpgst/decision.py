@@ -33,6 +33,12 @@ RULE_ODD_COMPOSITE = "odd-composite-factor"
 # decide --n 2047 --a 1 --certificate.
 MAX_WITNESS_N = 2 ** 20
 
+# Largest odd part of n the closed form factors, checked before the trial
+# division, which then takes at most 2**20 steps: 0.11 s for the largest
+# prime below 2**40 (0.03 s below 2**36; 2-core x86-64 VM). Any power of
+# two times it is accepted.
+MAX_ODD_PART = 2 ** 40
+
 
 class SamePairError(ValueError):
     """The two mirror pairs coincide (2a = n), so transfer is not defined."""
@@ -112,10 +118,14 @@ def factor_two_power(n: int) -> tuple[int, int]:
 
 def path_class(n: int, a: int) -> PathClass:
     """Mutually exclusive instance class from the factorization of n.
-    Raises ValueError unless n >= 2."""
+    Raises ValueError unless n >= 2 and the odd part of n is at most
+    MAX_ODD_PART, before any trial division."""
     if n < 2:
         raise ValueError(f"path needs at least 2 vertices, got {n}")
     t, m = factor_two_power(n)
+    if m > MAX_ODD_PART:
+        raise ValueError(
+            f"the odd part of n must be at most {MAX_ODD_PART}, got {m}")
     if m == 1:
         kind = RULE_POWER_OF_TWO
     elif _prime_factors(m) == [m]:
@@ -135,8 +145,7 @@ def classify_path(n: int, a: int) -> Verdict:
     cls = path_class(n, a)
     frm, to = _mirror_pairs(n, a)
     return Verdict(has_lpgst=cls.has_lpgst, from_pair=frm, to_pair=to,
-                   rule=cls.kind,
-                   certificate=None if cls.has_lpgst else witness_relation(n, a))
+                   rule=cls.kind, certificate=_class_witness(cls))
 
 
 def decide_path_lpgst(n: int, a: int) -> Verdict:
@@ -194,18 +203,22 @@ def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
     verify_witness re-verifies the vector in O(n), with no eigenvalue table.
     """
     _validate_instance(n, a)
-    cls = path_class(n, a)
+    return _class_witness(path_class(n, a))
+
+
+def _class_witness(cls: PathClass) -> tuple[int, ...] | None:
+    """witness_relation of the instance cls was computed for."""
     if cls.has_lpgst:
         return None
-    if n > MAX_WITNESS_N:
+    if cls.n > MAX_WITNESS_N:
         raise ValueError(
-            f"n must be at most {MAX_WITNESS_N} for a witness, got {n}")
+            f"n must be at most {MAX_WITNESS_N} for a witness, got {cls.n}")
     block = 2 ** cls.two_power_exponent
     if cls.kind == RULE_ODD_COMPOSITE:
-        reduced = n // math.gcd(a, n)
+        period = exclusion_period(cls.n, cls.a)
         block *= next((p for p in _prime_factors(cls.odd_part)
-                       if reduced % p == 0), 1)
-    return _residue_witness(n, block)
+                       if period % p == 0), 1)
+    return _residue_witness(cls.n, block)
 
 
 def _residue_witness(n: int, block: int) -> tuple[int, ...]:
@@ -257,18 +270,16 @@ def _theta_sums_vanish(n: int, relations: np.ndarray) -> np.ndarray:
     x^(N/p) - 1 over the primes p of N vanishes at exactly the other N-th
     roots, and x^N - 1 has simple roots. So the sum is zero iff g times
     that product is 0 mod x^N - 1 (Lam and Leung, J. Algebra 224, 2000).
-    Each factor is one cyclic shift and one subtraction, and at most
-    doubles max|g|: the product runs in int64 while max|g| * 2^(number of
-    primes) < 2**63, on Python ints otherwise.
+    Each factor is one cyclic shift and one subtraction and at most
+    doubles max|g| <= 2n * max|v|: sums and product run in int64 while
+    (2n * max|v|) * 2^(number of primes) < 2**63, on Python ints otherwise.
     """
     size = 2 * n
     primes = _prime_factors(size)
-    if relations.dtype != object and 2 * n * _max_abs(relations) >= 2 ** 63:
-        relations = relations.astype(object)    # 2 * a row sum could wrap
+    fits = (size * _max_abs(relations)) << len(primes) < 2 ** 63
+    relations = relations.astype(np.int64 if fits else object, copy=False)
     totals = relations.sum(axis=1)
-    peak = max(_max_abs(relations), 2 * _max_abs(totals))          # max|g|
-    g = np.zeros((len(relations), size),
-                 dtype=np.int64 if peak << len(primes) < 2 ** 63 else object)
+    g = np.zeros((len(relations), size), dtype=relations.dtype)
     g[:, 0] = -2 * totals
     g[:, 1:n] = relations
     g[:, n + 1:] = relations[:, ::-1]

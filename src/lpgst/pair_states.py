@@ -22,6 +22,7 @@ SUPPORT_TOL = 1e-8
 MAX_SWEEP_STEPS = 10_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERATIONS = 60
 
 
 class NotCospectralError(ValueError):
@@ -169,11 +170,11 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     """Grid sweep of the transfer fidelity over [0, t_max] with refinement.
 
     Scans a uniform grid of `steps` points (refused as check_sweep_grid
-    refuses them), then runs 60 golden-section iterations in the
-    one-cell window around the best grid point. The refined point is
-    inserted into the returned trace when it beats the grid by more than
-    phase_rounding_bound, so sup_estimate is the maximum of the stored
-    fidelities.
+    refuses them), then runs _GOLDEN_ITERATIONS (60) golden-section
+    iterations in the one-cell window around the best grid point. The
+    refined point is inserted into the returned trace when it beats the
+    grid by more than phase_rounding_bound, so sup_estimate is the
+    maximum of the stored fidelities.
     """
     check_sweep_grid(t_max, steps)
     c = transfer_weights(s, frm, to)
@@ -191,8 +192,7 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     dt = float(t_max) / (steps - 1)
     lo = max(0.0, times[best] - dt)
     hi = min(float(t_max), times[best] + dt)
-    t_ref, f_ref = _golden_section_max(
-        lambda t: _fidelity_at(thetas, c, t), lo, hi, iterations=60)
+    t_ref, f_ref = _golden_section_max(lambda t: _fidelity_at(thetas, c, t), lo, hi)
 
     pos = int(np.searchsorted(times, t_ref))
     # a gain within the rounding bound may be rounding alone, and a refined
@@ -241,11 +241,11 @@ def _fidelity_at(thetas: np.ndarray, weights: np.ndarray, t: float) -> float:
     return float(min(max(abs(amp) ** 2, 0.0), 1.0))
 
 
-def _golden_section_max(f, lo: float, hi: float, iterations: int) -> tuple[float, float]:
+def _golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_ITERATIONS):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)

@@ -7,8 +7,8 @@ zero-sum constraint. Its integer kernel is computed by unimodular column
 reduction (Cohen, A Course in Computational Algebraic Number Theory,
 2.4), so the returned basis generates every integer solution.
 
-The reduction runs on integer arrays, sparsest rows first: int64 while
-every entry stays below 2**31, Python ints otherwise. Most steps have a
+The reduction runs on integer arrays in one pass, sparsest rows first:
+int64 until an entry reaches 2**31, Python ints after. Most steps have a
 pivot of +-1 and clear the row in one subtraction with no division, the
 pivot's own entry included, and the pivot's column is dead; otherwise the
 column that survives its row is. The basis is sign-normalized and sorted
@@ -87,9 +87,8 @@ def integer_kernel(columns: list[tuple[int, ...]]) -> RelationLattice:
     sparsest rows first, always reducing against the smallest-magnitude
     entry with nearest-integer quotients to keep intermediates small. The
     accumulated transform is unimodular, so the zero columns at the end
-    span (and saturate) the kernel. The elimination runs in int64 while
-    every entry stays below 2**31 and is redone on Python ints (an object
-    array) as soon as one does not; the basis is the same either way. The
+    span (and saturate) the kernel. The elimination runs in int64 until an
+    entry reaches 2**31 and on Python ints (an object array) after it. The
     product of the input matrix with the basis array is re-verified
     exactly before the lattice keeps it. Raises ValueError unless every
     entry is an integer.
@@ -104,44 +103,42 @@ def integer_kernel(columns: list[tuple[int, ...]]) -> RelationLattice:
             raise ValueError("columns must all have the same length")
 
     mat = _exact_array(columns)                 # mat[j, i]: column j, row i
-    basis = None
-    if mat.dtype != object and _max_abs(mat) < _ELIMINATION_BOUND:
-        basis = _kernel_basis(mat, np.int64)
-    if basis is None:
-        basis = _kernel_basis(mat, object)
+    basis = _kernel_basis(mat)
     if not _product_is_zero(mat, basis):
         raise AssertionError("kernel verification failed")
     basis.flags.writeable = False       # the lattice keeps it without a copy
     return RelationLattice(d, basis)
 
 
-# int64 elimination is exact while every entry stays below 2**31: a
-# nearest-integer quotient q then has |q| <= 2**31, so one step's
-# |entry - q * pivot_entry| < 2**31 + 2**62 < 2**63.
+# An int64 step from entries below 2**31 is exact, even one that reaches
+# the bound: a nearest-integer quotient q has |q| <= 2**31, so |entry - q
+# * pivot_entry| < 2**31 + 2**62 < 2**63. The array widens after that step.
 _ELIMINATION_BOUND = 2 ** 31
 
 
-def _kernel_basis(mat: np.ndarray, dtype) -> np.ndarray | None:
+def _kernel_basis(mat: np.ndarray) -> np.ndarray:
     """Sorted, sign-normalized kernel basis of the columns in mat, one
     vector per row of the returned array.
 
-    Works on one (d, rows + d) array of the given dtype: each row holds a
-    column of the system followed by its row of the unimodular transform.
-    A step whose pivot is +-1 clears every active entry at once, with no
-    division and no re-scan: the quotients are the entries times the
-    pivot, so the pivot's own is p * p = 1 and its whole row of work
-    subtracts itself to zero in the same update. That pivot's column dies
-    and the row is done. Otherwise the column left as the row's only
-    nonzero entry dies and its system part is zeroed. Either way a dead
-    column's system part is zero, so a row's active columns are its
-    nonzero entries, and its transform row is never read again. Every
-    int64 step is checked: returns None when an entry reaches
-    _ELIMINATION_BOUND.
+    Works on one (d, rows + d) array: each row holds a column of the system
+    followed by its row of the unimodular transform. A step whose pivot is
+    +-1 clears every active entry at once, with no division and no re-scan:
+    the quotients are the entries times the pivot, so the pivot's own is
+    p * p = 1 and its whole row of work subtracts itself to zero in the
+    same update. That pivot's column dies and the row is done. Otherwise
+    the column left as the row's only nonzero entry dies and its system
+    part is zeroed. Either way a dead column's system part is zero, so a
+    row's active columns are its nonzero entries, and its transform row is
+    never read again. The array is int64 while every entry is below
+    _ELIMINATION_BOUND, and Python ints (object) from the start or from the
+    step that reaches it, so the steps and basis are those of a run on
+    Python ints throughout.
     """
     d, rows = mat.shape
-    work = np.zeros((d, rows + d), dtype=dtype)
+    wide = mat.dtype == object or _max_abs(mat) >= _ELIMINATION_BOUND
+    work = np.zeros((d, rows + d), dtype=object if wide else np.int64)
     work[:, :rows] = mat
-    work[:, rows:] = np.eye(d, dtype=dtype)
+    work[:, rows:] = np.eye(d, dtype=work.dtype)
     live = np.ones(d, dtype=bool)
 
     # sparsest first: the dense rows (constant, zero sum) meet few live columns
@@ -161,10 +158,11 @@ def _kernel_basis(mat: np.ndarray, dtype) -> np.ndarray | None:
                 quot[2 * np.abs(entries % p) > abs(p)] += 1
                 quot[at] = 0
             block -= quot[:, None] * block[at]
-            if dtype is not object and (block.max() >= _ELIMINATION_BOUND
-                                        or block.min() <= -_ELIMINATION_BOUND):
-                return None
             work[active] = block
+            if not wide and (block.max() >= _ELIMINATION_BOUND
+                             or block.min() <= -_ELIMINATION_BOUND):
+                wide = True                     # the step itself was exact
+                work = work.astype(object)
             if unit:                            # the pivot row cleared itself
                 live[active[at]] = False
                 break

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from lpgst import cyclotomic, decision
 from lpgst.cyclotomic import MAX_TABLE_N, _max_abs, theta_table
-from lpgst.decision import (MAX_WITNESS_N, RULE_ODD_COMPOSITE, RULE_ODD_PRIME,
-                            RULE_POWER_OF_TWO, RULE_TWO_POWER_TIMES_PRIME,
+from lpgst.decision import (MAX_ODD_PART, MAX_WITNESS_N, RULE_ODD_COMPOSITE,
+                            RULE_ODD_PRIME, RULE_POWER_OF_TWO,
+                            RULE_TWO_POWER_TIMES_PRIME,
                             SamePairError, alternating_cosine_residual,
                             classify_path, cross_check, decide_path_lpgst,
                             factor_two_power, path_class, verify_witness,
@@ -38,6 +39,42 @@ def test_path_class_refuses_paths_without_edges():
         with pytest.raises(ValueError, match="at least 1"):
             factor_two_power(n)
     assert factor_two_power(1) == (0, 1)
+
+
+_PAST_BOUNDS = [
+    (path_class, (2 ** 61 - 1, 1)),
+    (classify_path, (2 ** 61 - 1, 1)),
+    (witness_relation, (2 ** 61 - 1, 1)),
+    (path_class, (MAX_ODD_PART + 1, 1)),
+    (classify_path, (2 ** 70 * (MAX_ODD_PART + 1), 3)),
+    (cyclotomic.euler_phi, (2 ** 61 - 1,)),
+    (cyclotomic.euler_phi, (2 * MAX_TABLE_N + 1,)),
+    (cyclotomic.cyclotomic_polynomial, (2 ** 61 - 1,)),
+    (cyclotomic.cyclotomic_polynomial, (2 * MAX_TABLE_N + 1,)),
+]
+
+
+@pytest.mark.parametrize("entry,args", _PAST_BOUNDS,
+                         ids=[f"{f.__name__}-{args[0]}" for f, args in _PAST_BOUNDS])
+def test_size_bounds_refuse_before_any_factoring(monkeypatch, entry, args):
+    # trial division to sqrt(2**61 - 1) did not return within 10 s, and
+    # Phi_m allocates m + 1 entries first
+    def refused(*_):
+        raise AssertionError("ran past the size bound")
+
+    for module, name in ((decision, "_prime_factors"), (cyclotomic, "_prime_factors"),
+                         (cyclotomic, "_cyclotomic_array")):
+        monkeypatch.setattr(module, name, refused)
+    with pytest.raises(ValueError, match="at most"):
+        entry(*args)
+
+
+def test_size_bounds_accept_their_largest_input():
+    odd_prime = 2 ** 40 - 87                    # the largest prime below 2**40
+    assert path_class(2 ** 70 * odd_prime, 1).kind == RULE_TWO_POWER_TIMES_PRIME
+    assert path_class(MAX_ODD_PART * 2 ** 30, 1).kind == RULE_POWER_OF_TWO
+    assert cyclotomic.euler_phi(2 * MAX_TABLE_N) == MAX_TABLE_N
+    assert cyclotomic.cyclotomic_polynomial(2 * MAX_TABLE_N).degree == MAX_TABLE_N
 
 
 def test_path_class_kinds():
@@ -378,6 +415,27 @@ def test_root_check_matches_table_product_on_combinations(instance):
     n, vec = instance
     got = decision._theta_sums_vanish(n, _exact_array([vec]))
     assert got.tolist() == [_product_is_zero(theta_table(n), [vec])]
+
+
+@pytest.mark.parametrize("n", [15, 105])
+def test_root_check_straddles_its_integer_type_bound(n):
+    # int64 runs while (2n * max|v|) << (number of primes of 2n) < 2**63:
+    # a witness scaled by 2**top takes int64, by 2**(top + 1) Python ints
+    omega = len(cyclotomic._prime_factors(2 * n))
+    top = (2 ** 63 // (2 * n << omega)).bit_length() - 1
+    table = theta_table(n)
+    cert = classify_path(n, 1).certificate
+    i = next(i for i, c in enumerate(cert) if c)
+    for k in (top, top + 1):
+        assert ((2 * n * 2 ** k) << omega < 2 ** 63) == (k == top)
+        vec = [c * 2 ** k for c in cert]
+        moved = vec.copy()
+        moved[i] -= cert[i]                     # one step toward zero
+        rows = _exact_array([vec, moved])
+        assert rows.dtype == np.int64
+        expected = [_product_is_zero(table, [vec]), _product_is_zero(table, [moved])]
+        assert expected == [True, False]
+        assert decision._theta_sums_vanish(n, rows).tolist() == expected, k
 
 
 def test_verify_witness_reads_no_eigenvalue_table(monkeypatch):

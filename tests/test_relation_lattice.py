@@ -284,7 +284,7 @@ def test_int64_wraparound_cannot_pass_verification():
     assert not relation_lattice._product_is_zero(columns, basis)
     assert relation_lattice._product_is_zero(columns, ((0, 1),))
 
-    def wrong_basis(mat, dtype):
+    def wrong_basis(mat):
         return basis
 
     with pytest.MonkeyPatch.context() as mp:
@@ -390,16 +390,34 @@ def _integer_systems(draw):
 
 
 # Inputs below 2**31 whose int64 elimination outgrows _ELIMINATION_BOUND,
-# so the Python-int retry runs: the first row (consecutive Fibonacci
-# numbers) leaves transform entries near 2**30, and the last row, as sparse
-# and so cleared next, subtracts 2**30 times the third column from the
-# fourth, which puts 2**60 into the middle row.
+# so the work array widens to Python ints midway: the first row
+# (consecutive Fibonacci numbers) leaves transform entries near 2**30, and
+# the last row, as sparse and so cleared next, subtracts 2**30 times the
+# third column from the fourth, which puts 2**60 into the middle row.
 _FIB_OVERFLOW = [(1836311903, 1134903170, 0), (1134903170, 701408733, 0),
                  (0, 2 ** 30, 1), (0, 0, 2 ** 30)]
 
 
 def test_fibonacci_system_outgrows_int64_elimination():
-    assert relation_lattice._kernel_basis(np.array(_FIB_OVERFLOW), np.int64) is None
+    basis = relation_lattice._kernel_basis(np.array(_FIB_OVERFLOW))
+    assert basis.dtype == object
+    assert tuple(map(tuple, basis.tolist())) == _reference_array_kernel(_FIB_OVERFLOW)
+
+
+def test_outgrown_elimination_runs_once():
+    # the elimination goes on in Python ints where int64 ends, not rerun
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel_basis(*args)
+
+    kernel_basis = relation_lattice._kernel_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation_lattice, "_kernel_basis", counted)
+        lattice = integer_kernel(_FIB_OVERFLOW)
+    assert len(calls) == 1
+    assert lattice.basis == _reference_array_kernel(_FIB_OVERFLOW)
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,9 +443,8 @@ _UNIT_OVERFLOW = [(1, 2 ** 30), (2 ** 30, 2 ** 30), (0, 2 ** 30)]
 
 
 def test_unit_pivot_step_is_bound_checked():
-    mat = np.array(_UNIT_OVERFLOW)
-    assert relation_lattice._kernel_basis(mat, np.int64) is None
-    basis = relation_lattice._kernel_basis(mat, object)
+    basis = relation_lattice._kernel_basis(np.array(_UNIT_OVERFLOW))
+    assert basis.dtype == object
     assert tuple(map(tuple, basis.tolist())) == _reference_array_kernel(_UNIT_OVERFLOW)
     assert integer_kernel(_UNIT_OVERFLOW).basis == ((2 ** 30, -1, 1 - 2 ** 30),)
 
@@ -459,12 +476,7 @@ def test_product_check_leaves_float64_before_sums_round():
 def _tuples_of_sorted_array(columns):
     """The basis integer_kernel returned while it built its tuples eagerly:
     the verified array of _kernel_basis, as tuples of Python ints."""
-    mat = relation_lattice._exact_array(columns)
-    basis = None
-    if mat.dtype != object:
-        basis = relation_lattice._kernel_basis(mat, np.int64)
-    if basis is None:
-        basis = relation_lattice._kernel_basis(mat, object)
+    basis = relation_lattice._kernel_basis(relation_lattice._exact_array(columns))
     return tuple(map(tuple, basis.tolist()))
 
 

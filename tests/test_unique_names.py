@@ -106,6 +106,63 @@ def test_unread_top_level_names_are_found():
     assert _unread_top_level_names(sources) == ["a._BLOCK", "a._only_tests", "a.x"]
 
 
+def _one_value_parameters(sources: dict[str, str]) -> list[str]:
+    """"module.function(parameter)" for each parameter of a private
+    top-level function that every call in the modules passes the same
+    literal, by position or by keyword: a constant in disguise. A call
+    that passes the parameter through * or ** counts as passing no
+    literal."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    functions = {node.name: (module, node) for module, tree in trees.items()
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_") and not node.name.startswith("__")}
+    calls = {name: [] for name in functions}
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in calls:
+                calls[name].append(node)
+    found = []
+    for name, (module, func) in functions.items():
+        positional = [a.arg for a in func.args.posonlyargs + func.args.args]
+        for param in positional + [a.arg for a in func.args.kwonlyargs]:
+            values = set()
+            for call in calls[name]:
+                value = next((k.value for k in call.keywords if k.arg == param),
+                             None)
+                if param in positional:
+                    head = call.args[:positional.index(param) + 1]
+                    if (len(head) > positional.index(param)
+                            and not any(isinstance(a, ast.Starred) for a in head)):
+                        value = head[-1]
+                if not isinstance(value, ast.Constant):
+                    break
+                values.add((type(value.value), value.value))
+            else:
+                if len(values) == 1:
+                    found.append(f"{module}.{name}({param})")
+    return sorted(found)
+
+
+def test_no_private_parameter_takes_one_value():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert _one_value_parameters(sources) == []
+
+
+def test_one_value_parameters_are_found():
+    sources = {"a": ("def _f(x, y, *, z=1):\n    pass\n"
+                     "def _g(x, y=2):\n    pass\n"
+                     "def _h(x):\n    pass\n"
+                     "def public(x):\n    pass\n"
+                     "def _unused(x):\n    pass\n"),
+               "b": ("import a\nfrom a import _f, _g, _h\nv = [4]\n"
+                     "_f(1, 2, z=3)\n_f(1, y=v, z=3)\n"
+                     "_g(5)\na._g(5, y=2)\n_g(*v)\n"
+                     "_h(1)\n_h(True)\npublic(1)\npublic(1)\n")}
+    assert _one_value_parameters(sources) == ["a._f(x)", "a._f(z)"]
+
+
 def test_package_all_matches_its_imports():
     # a stale __all__ entry breaks `from lpgst import *`
     init = ROOT / "src" / "lpgst" / "__init__.py"
