@@ -3,12 +3,11 @@
 Exact verdicts on paths via cyclotomic integer arithmetic and lattice
 parity; numeric evidence on arbitrary graphs via spectral fidelity sweeps.
 """
-from .cyclotomic import (IntPolynomial, cyclotomic_polynomial, euler_phi,
-                         theta_element)
+from .cyclotomic import IntPolynomial, cyclotomic_polynomial, euler_phi
 from .decision import (CrossCheck, PathClass, SamePairError, Verdict,
                        WitnessCheck, alternating_cosine_residual,
                        classify_path, cross_check, decide_path_lpgst,
-                       path_class, verify_witness, witness_relation)
+                       path_class, verify_witness)
 from .graphs import (Graph, GraphParseError, laplacian, make_path,
                      parse_graph, serialize_graph)
 from .pair_states import (FidelityTrace, NotCospectralError, SupportPartition,
@@ -32,6 +31,6 @@ __all__ = [
     "make_path", "pair_fidelity", "parity_holds", "parse_graph",
     "path_class", "path_spectrum", "path_support_partition",
     "projector_residuals", "serialize_graph",
-    "strong_cospectrality", "support", "theta_element", "transfer_weights",
-    "transition_matrix", "verify_witness", "witness_relation",
+    "strong_cospectrality", "support", "transfer_weights",
+    "transition_matrix", "verify_witness",
 ]

@@ -230,7 +230,8 @@ def _classify_work(ns: range, a) -> int:
     """
     work = 0
     for n in ns:
-        work += n * max(len(_a_values(n, a)), 1)
+        rows = _a_values(n, a)      # len() refuses a range past sys.maxsize
+        work += n * max(rows.stop - rows.start, 1)
         if work > MAX_CLASSIFY_WORK:
             break
     return work
@@ -289,7 +290,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _span_text(span) -> str:
     if span == "all":
         return "all"
-    if len(span) == 1:
+    if span.stop - span.start == 1:
         return str(span.start)
     return f"{span.start}..{span.stop - 1}"
 

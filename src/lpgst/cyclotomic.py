@@ -249,11 +249,3 @@ def _theta_rows(n: int, phi: np.ndarray) -> np.ndarray:
     rows[:, 0] += 2
     return rows
 
-
-def theta_element(n: int, k: int) -> np.ndarray:
-    """Exact image of the path eigenvalue 2 - 2 cos(k pi / n): a writable
-    int64 copy of row k - 1 of theta_table(n), so it does not keep an
-    evicted table alive."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
-    return theta_table(n)[k - 1].copy()

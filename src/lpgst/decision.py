@@ -138,8 +138,8 @@ def path_class(n: int, a: int) -> PathClass:
 def classify_path(n: int, a: int) -> Verdict:
     """Closed-form verdict for the mirror edge pairs on the n-path.
 
-    The verdict is PathClass.has_lpgst; no-verdicts carry the explicit
-    witness vector of witness_relation.
+    The verdict is PathClass.has_lpgst; no-verdicts carry an explicit
+    witness vector (the rule is stated at _class_witness).
     """
     _validate_instance(n, a)
     cls = path_class(n, a)
@@ -188,8 +188,9 @@ def _lattice_verdict(n: int, q: int) -> tuple[bool, tuple[int, ...] | None]:
     return False, tuple(full)
 
 
-def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
-    """Explicit integer relation with odd minus-parity, when one exists.
+def _class_witness(cls: PathClass) -> tuple[int, ...] | None:
+    """Explicit integer relation with odd minus-parity for the instance of
+    cls, when one exists.
 
     Returns one for every no-instance of PathClass.has_lpgst, None for
     yes-instances. With n = 2^t * r, r odd, the vector is +1 on k
@@ -202,12 +203,6 @@ def witness_relation(n: int, a: int) -> tuple[int, ...] | None:
     MAX_WITNESS_N is refused before the O(n) vector is built; below it,
     verify_witness re-verifies the vector in O(n), with no eigenvalue table.
     """
-    _validate_instance(n, a)
-    return _class_witness(path_class(n, a))
-
-
-def _class_witness(cls: PathClass) -> tuple[int, ...] | None:
-    """witness_relation of the instance cls was computed for."""
     if cls.has_lpgst:
         return None
     if cls.n > MAX_WITNESS_N:
@@ -298,8 +293,12 @@ def alternating_cosine_residual(n: int, k: int, m: int, c: int) -> float:
 
     For n = k*m with m > 1 odd and 0 <= c < k, the alternating sum of
     cos((c + j*k) pi / n) over j = 0..m-1 vanishes; returns its absolute
-    numeric value.
+    numeric value. n above MAX_WITNESS_N, the bound witnesses are built
+    for, is refused before the O(m) sum.
     """
+    if n > MAX_WITNESS_N:
+        raise ValueError(
+            f"n must be at most {MAX_WITNESS_N} for the residual, got {n}")
     if m <= 1 or m % 2 == 0:
         raise ValueError(f"m must be an odd integer > 1, got {m}")
     if n != k * m:

@@ -89,7 +89,9 @@ def transfer_weights(s: Spectrum, frm: tuple[int, int], to: tuple[int, int]) -> 
 
 def pair_fidelity(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
                   t: float) -> float:
-    """|0.5 (e_a-e_b)^T U(t) (e_c-e_d)|^2, clamped to [0, 1]."""
+    """|0.5 (e_a-e_b)^T U(t) (e_c-e_d)|^2, clamped to [0, 1]. Raises
+    ValueError unless |t| times the largest eigenvalue is finite."""
+    _check_phases_finite("t", t, s.eigenvalues)
     return _fidelity_at(s.eigenvalues, transfer_weights(s, frm, to), t)
 
 
@@ -179,10 +181,7 @@ def fidelity_sweep(s: Spectrum, frm: tuple[int, int], to: tuple[int, int],
     check_sweep_grid(t_max, steps)
     c = transfer_weights(s, frm, to)
     thetas = s.eigenvalues
-    # the phases t * theta must stay finite, or every fidelity reads NaN
-    if not math.isfinite(t_max * float(np.abs(thetas).max())):
-        raise ValueError(
-            f"t_max times the largest eigenvalue must be finite, got t_max={t_max}")
+    _check_phases_finite("t_max", t_max, thetas)
     # an owned copy, so the refined point can be inserted in place
     times = np.linspace(0.0, float(t_max), steps).copy()
     fids = _kernels.fidelity_grid(thetas, c, times)
@@ -234,6 +233,13 @@ def _insert_in_place(values: np.ndarray, pos: int, value: float) -> None:
     values.resize(values.size + 1, refcheck=False)
     values[pos + 1:] = values[pos:-1]
     values[pos] = value
+
+
+def _check_phases_finite(name: str, t: float, thetas: np.ndarray) -> None:
+    # the phases t * theta must stay finite, or every fidelity reads NaN
+    if not math.isfinite(abs(t) * float(np.abs(thetas).max())):
+        raise ValueError(
+            f"{name} times the largest eigenvalue must be finite, got {name}={t}")
 
 
 def _fidelity_at(thetas: np.ndarray, weights: np.ndarray, t: float) -> float:

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from lpgst.cyclotomic import IntPolynomial, cyclotomic_polynomial, theta_element
+from lpgst.cyclotomic import IntPolynomial, cyclotomic_polynomial, theta_table
 from lpgst.decision import (alternating_cosine_residual, classify_path,
                             decide_path_lpgst, factor_two_power,
-                            verify_witness, witness_relation)
+                            verify_witness)
 from lpgst.graphs import Graph, laplacian, make_path
 from lpgst.pair_states import fidelity_sweep, path_support_partition
 from lpgst.relation_lattice import build_relation_system, integer_kernel
@@ -60,7 +60,7 @@ def test_criterion_2_witness_suite():
         if odd_part == 1 or _is_prime(odd_part):
             continue
         count += 1
-        vec = witness_relation(n, a)
+        vec = classify_path(n, a).certificate
         if vec is None:
             failures.append((n, a, "missing"))
             continue
@@ -177,7 +177,7 @@ def test_criterion_8_cyclotomic_exactness():
     for n in range(2, 65):
         z = cmath.exp(1j * math.pi / n)
         for k in range(1, n):
-            value = IntPolynomial(tuple(theta_element(n, k).tolist())).evaluate(z)
+            value = IntPolynomial(tuple(theta_table(n)[k - 1].tolist())).evaluate(z)
             target = 2.0 - 2.0 * math.cos(k * math.pi / n)
             worst = max(worst, abs(value - target))
     _report("criterion 8: cyclotomic product identity and theta evaluations",

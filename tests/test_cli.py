@@ -174,6 +174,34 @@ def test_classify_above_work_limit_exits_2(capsys, argv):
     assert f"needs more than {MAX_CLASSIFY_WORK} units of work" in err
 
 
+# every integer option at and past the largest ssize_t, where len() of a
+# range stops working; V is the value and W is V + 1
+_HUGE_ARGVS = [
+    "classify --n V", "classify --n 2..V --a 1", "classify --n V..W --a 1",
+    "classify --n 5 --a V", "classify --n 5 --a 1..V",
+    "classify --n 5 --a V..W", "classify --n 5 --a=-V..2",
+    "decide --n V --a 1", "decide --n 5 --a V",
+    "sweep --path V --from 1,2 --to 3,4 --tmax 1",
+    "sweep --path 4 --from 1,2 --to 3,4 --tmax 1 --steps V",
+]
+
+
+@pytest.mark.parametrize("value", [2 ** 63 - 1, 2 ** 63, 10 ** 20])
+@pytest.mark.parametrize("argv", _HUGE_ARGVS)
+def test_huge_integer_options_exit_0_or_2_without_traceback(capsys, argv, value):
+    argv = argv.replace("W", str(value + 1)).replace("V", str(value)).split()
+    code, _, err = _run(capsys, argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+def test_classify_a_range_past_maxsize_keeps_rows(capsys):
+    code, out, err = _run(capsys, ["classify", "--n", "5", "--a", f"1..{10 ** 20}"])
+    assert code == 0
+    assert out.splitlines()[2:] == [f"5,{a},yes,odd-prime" for a in range(1, 5)]
+    assert f"note: --a values outside 1..n-1 skipped: n=5 a=5..{10 ** 20}" in err
+
+
 def test_decide_with_certificate(capsys):
     code, out, _ = _run(capsys, ["decide", "--n", "9", "--a", "1",
                                  "--certificate"])

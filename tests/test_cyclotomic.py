@@ -8,8 +8,7 @@ import pytest
 from lpgst import cyclotomic
 from lpgst.cyclotomic import (MAX_TABLE_N, IntPolynomial,
                               _over_binomial, _theta_rows,
-                              cyclotomic_polynomial, euler_phi, theta_element,
-                              theta_table)
+                              cyclotomic_polynomial, euler_phi, theta_table)
 from lpgst.relation_lattice import _product_is_zero
 
 # n with dense and sparse phi(2n), from 255 to 1024
@@ -122,8 +121,6 @@ def test_theta_table_refuses_large_n_before_building(monkeypatch):
     for n in (MAX_TABLE_N + 1, 10 ** 9):
         with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
             theta_table(n)
-        with pytest.raises(ValueError, match=f"at most {MAX_TABLE_N}"):
-            theta_element(n, 1)
     with pytest.raises(_Built):
         theta_table(MAX_TABLE_N)
 
@@ -150,40 +147,22 @@ def test_divmod_requires_monic():
 
 
 def test_theta_element_examples():
-    assert theta_element(4, 2).tolist() == [2, 0, 0, 0]
-    assert theta_element(3, 1).tolist() == [1, 0]
-    assert theta_element(3, 2).tolist() == [3, 0]
-
-
-def test_theta_element_range_check():
-    with pytest.raises(ValueError):
-        theta_element(5, 0)
-    with pytest.raises(ValueError):
-        theta_element(5, 5)
-
-
-def test_theta_element_is_an_owned_table_row():
-    for n, k in ((2, 1), (9, 4), (64, 63), (600, 17)):
-        row = theta_element(n, k)
-        assert row.dtype == np.int64
-        assert row.flags.owndata and row.flags.writeable
-        assert np.array_equal(row, theta_table(n)[k - 1]), (n, k)
-    for n, k in ((5, 0), (5, 5), (MAX_TABLE_N + 1, 1)):
-        with pytest.raises(ValueError):
-            theta_element(n, k)
+    assert theta_table(4)[2 - 1].tolist() == [2, 0, 0, 0]
+    assert theta_table(3)[1 - 1].tolist() == [1, 0]
+    assert theta_table(3)[2 - 1].tolist() == [3, 0]
 
 
 def test_theta_element_matches_cosine_eigenvalues():
     for n in range(2, 65):
         z = cmath.exp(1j * math.pi / n)
         for k in range(1, n):
-            value = IntPolynomial(tuple(theta_element(n, k).tolist())).evaluate(z)
+            value = IntPolynomial(tuple(theta_table(n)[k - 1].tolist())).evaluate(z)
             target = 2.0 - 2.0 * math.cos(k * math.pi / n)
             assert abs(value - target) < 1e-9, (n, k)
 
 
 def test_theta_element_matches_unreduced_division():
-    # theta_element folds x^(2n-k) into -x^(n-k) and reduces powers one
+    # theta_table folds x^(2n-k) into -x^(n-k) and reduces powers one
     # step at a time; the remainder of the unreduced 2 - x^k - x^(2n-k)
     # must be the same. Every k for n <= 64, sampled k beyond.
     cases = [(n, range(1, n)) for n in range(2, 65)]
@@ -198,13 +177,13 @@ def test_theta_element_matches_unreduced_division():
             coeffs[2 * n - k] -= 1
             _, rem = divmod(IntPolynomial(tuple(coeffs)), phi)
             padded = rem.coefficients + (0,) * (phi.degree - len(rem.coefficients))
-            assert tuple(theta_element(n, k).tolist()) == padded, (n, k)
+            assert tuple(theta_table(n)[k - 1].tolist()) == padded, (n, k)
 
 
 def test_exact_combination_tracks_float_evaluation():
     rng = np.random.default_rng(41)
     for n in (5, 8, 9, 12):
-        thetas = [theta_element(n, k) for k in range(1, n)]
+        thetas = [theta_table(n)[k - 1] for k in range(1, n)]
         floats = [2.0 - 2.0 * math.cos(k * math.pi / n) for k in range(1, n)]
         for _ in range(40):
             coeffs = [int(c) for c in rng.integers(-3, 4, size=n - 1)]
@@ -258,5 +237,5 @@ def test_totient_and_cyclotomic_refuse_nonpositive_index():
 
 def test_theta_element_pads_to_full_width():
     # k = n/2 gives the constant 2; the row keeps all phi(2n) slots
-    assert theta_element(4, 2).tolist() == [2, 0, 0, 0]
-    assert theta_element(6, 3).tolist() == [2, 0, 0, 0]
+    assert theta_table(4)[2 - 1].tolist() == [2, 0, 0, 0]
+    assert theta_table(6)[3 - 1].tolist() == [2, 0, 0, 0]

@@ -14,8 +14,7 @@ from lpgst.decision import (MAX_ODD_PART, MAX_WITNESS_N, RULE_ODD_COMPOSITE,
                             RULE_TWO_POWER_TIMES_PRIME,
                             SamePairError, alternating_cosine_residual,
                             classify_path, cross_check, decide_path_lpgst,
-                            factor_two_power, path_class, verify_witness,
-                            witness_relation)
+                            factor_two_power, path_class, verify_witness)
 from lpgst.pair_states import exclusion_period, path_support_partition
 from lpgst.relation_lattice import (_exact_array, _product_is_zero,
                                     build_relation_system, integer_kernel,
@@ -44,7 +43,6 @@ def test_path_class_refuses_paths_without_edges():
 _PAST_BOUNDS = [
     (path_class, (2 ** 61 - 1, 1)),
     (classify_path, (2 ** 61 - 1, 1)),
-    (witness_relation, (2 ** 61 - 1, 1)),
     (path_class, (MAX_ODD_PART + 1, 1)),
     (classify_path, (2 ** 70 * (MAX_ODD_PART + 1), 3)),
     (cyclotomic.euler_phi, (2 ** 61 - 1,)),
@@ -147,38 +145,38 @@ def test_decide_same_pair_error():
         decide_path_lpgst(6, 3)
 
 
-def test_witness_relation_case_two():
-    assert witness_relation(9, 1) == (1, -1, 0, -1, 1, 0, 1, -1)
+def test_classify_path_certificate_case_two():
+    assert classify_path(9, 1).certificate == (1, -1, 0, -1, 1, 0, 1, -1)
 
 
-def test_witness_relation_case_one_two():
+def test_classify_path_certificate_case_one_two():
     expected = [0] * 17
     for k in range(1, 18):
         if k % 12 in (1, 8):
             expected[k - 1] = 1
         elif k % 12 in (2, 7):
             expected[k - 1] = -1
-    assert witness_relation(18, 1) == tuple(expected)
+    assert classify_path(18, 1).certificate == tuple(expected)
 
 
-def test_witness_relation_block_takes_first_eligible_prime():
+def test_classify_path_certificate_block_takes_first_eligible_prime():
     # n = 15: block 3 when 3 divides n / gcd(a, n) (a = 1), else block 5
     # (a = 3); both are valid witnesses, and the printed one is pinned
     for a, vec in ((1, (1, -1, 0, -1, 1, 0, 1, -1, 0, -1, 1, 0, 1, -1)),
                    (3, (1, -1, 0, 0, 0, -1, 1, 0, 0, 0, 1, -1, 0, 0))):
-        assert witness_relation(15, a) == vec
+        assert classify_path(15, a).certificate == vec
         checks = verify_witness(15, a, vec)
         assert checks.sum_zero and checks.relation_zero and checks.parity_odd
 
 
-def test_witness_relation_none_for_yes_instances():
-    assert witness_relation(5, 1) is None
-    assert witness_relation(8, 3) is None
-    assert witness_relation(12, 2) is None
-    assert witness_relation(6, 1) is None
+def test_classify_path_certificate_none_for_yes_instances():
+    assert classify_path(5, 1).certificate is None
+    assert classify_path(8, 3).certificate is None
+    assert classify_path(12, 2).certificate is None
+    assert classify_path(6, 1).certificate is None
 
 
-def test_witness_relation_refuses_n_above_witness_bound(monkeypatch):
+def test_classify_path_refuses_n_above_witness_bound(monkeypatch):
     # no O(n) vector or support set is built before the refusal: the
     # builders are patched to raise
     def built(*args):
@@ -190,11 +188,8 @@ def test_witness_relation_refuses_n_above_witness_bound(monkeypatch):
         for n in (MAX_WITNESS_N + 1, 10 ** 9):        # composite odd parts
             assert path_class(n, 1).kind == RULE_ODD_COMPOSITE
             with pytest.raises(ValueError, match=f"at most {MAX_WITNESS_N}"):
-                witness_relation(n, 1)
-            with pytest.raises(ValueError, match=f"at most {MAX_WITNESS_N}"):
                 classify_path(n, 1)
         # yes-verdicts need no vector and stay O(1) at any n
-        assert witness_relation(2 ** 40, 3) is None
         verdict = classify_path(2 ** 40, 3)
         assert verdict.has_lpgst and verdict.certificate is None
     # past the eigenvalue table's bound a no-instance still gets a
@@ -205,11 +200,11 @@ def test_witness_relation_refuses_n_above_witness_bound(monkeypatch):
     assert all(checks[:4])
 
 
-def test_witness_relation_two_power_times_prime_necessity():
+def test_classify_path_certificate_two_power_times_prime_necessity():
     # n = 2^t p with 2^(t-1) not dividing a: same residue machinery,
     # block 2^t, and the lattice route must concur.
     for n, a in [(12, 1), (12, 3), (24, 2), (24, 6), (40, 1)]:
-        vec = witness_relation(n, a)
+        vec = classify_path(n, a).certificate
         assert vec is not None
         checks = verify_witness(n, a, vec)
         assert checks.sum_zero and checks.relation_zero and checks.parity_odd
@@ -217,9 +212,9 @@ def test_witness_relation_two_power_times_prime_necessity():
         assert not decide_path_lpgst(n, a).has_lpgst
 
 
-def test_witness_relation_case_one_one():
+def test_classify_path_certificate_case_one_one():
     # odd part divides a: n = 36 = 2^2 * 9, a = 9
-    vec = witness_relation(36, 9)
+    vec = classify_path(36, 9).certificate
     assert vec is not None
     checks = verify_witness(36, 9, vec)
     assert checks.sum_zero and checks.relation_zero and checks.parity_odd
@@ -483,6 +478,20 @@ def test_alternating_cosine_residual_preconditions():
         alternating_cosine_residual(7, 2, 3, 0)   # n != k*m
 
 
+def test_alternating_cosine_residual_refuses_n_above_witness_bound(monkeypatch):
+    # the sum over m = 3**21 terms did not return within 5 s; no cosine is
+    # taken before the refusal
+    def summed(_):
+        raise AssertionError("the sum ran past the size bound")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "cos", summed)
+        with pytest.raises(ValueError, match=f"at most {MAX_WITNESS_N}"):
+            alternating_cosine_residual(3 ** 21, 1, 3 ** 21, 0)
+    n = MAX_WITNESS_N - 1                       # 3 * 5^2 * 11 * 31 * 41
+    assert alternating_cosine_residual(n, n // 3, 3, 0) < 1e-12
+
+
 def test_cross_check_agreement_small_range():
     for n in range(2, 31):
         for a in range(1, n):
@@ -680,7 +689,7 @@ def test_partition_and_witness_match_per_k_loops(monkeypatch):
         plus, minus, excluded = _loop_support_partition(n, a)
         assert (part.plus, part.minus) == (plus, minus)
         assert not excluded & part.support
-    witnesses = [witness_relation(n, a) for n, a in instances if 2 * a != n]
+    witnesses = [classify_path(n, a).certificate for n, a in instances if 2 * a != n]
     monkeypatch.setattr(decision, "_residue_witness", _loop_residue_witness)
-    assert witnesses == [witness_relation(n, a) for n, a in instances if 2 * a != n]
+    assert witnesses == [classify_path(n, a).certificate for n, a in instances if 2 * a != n]
     assert sum(w is not None for w in witnesses) > 10_000

@@ -86,6 +86,17 @@ def test_pair_fidelity_dimension_mismatch():
         pair_fidelity(s, (1, 5), (1, 2), 0.0)
 
 
+def test_pair_fidelity_refuses_non_finite_phases():
+    # each of these returned NaN, with numpy RuntimeWarnings
+    s = path_spectrum(4)
+    for t in (math.inf, math.nan, 1e308, -1e308):
+        with pytest.raises(ValueError, match="largest eigenvalue must be finite"):
+            pair_fidelity(s, (1, 2), (3, 4), t)
+    # a negative time stays valid
+    t = -math.pi / math.sqrt(2.0)
+    assert pair_fidelity(s, (1, 2), (3, 4), t) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_support_p4_middle_edge():
     s = path_spectrum(4)
     # a = 2 kills the k = 2 eigenvalue (4 divides 2*2); 0 is never supported.

@@ -125,7 +125,7 @@ def test_build_relation_system_rejects_empty_support():
 
 
 def test_build_relation_system_rejects_indices_off_the_path():
-    # k = 0 and k = n have no eigenvalue row (theta_element refuses them too)
+    # k = 0 and k = n have no eigenvalue row (theta_table has rows for k = 1..n-1)
     part = path_support_partition(4, 1)
     for k in (0, 4):
         bad = type(part)(plus=part.plus | {k}, minus=part.minus)
