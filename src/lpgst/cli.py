@@ -399,9 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "CSV columns: n,a,verdict,rule where verdict is "
                     "yes/no/same-pair. JSON schema: docs/output-schemas.md.")
     p_classify.add_argument("--n", required=True, type=_parse_span,
-                            help="path size or inclusive range, e.g. 12 or 2..16")
+                            help="path size or inclusive range, e.g. 12 or "
+                                 "2..16; write --n=LO..HI when LO < 0")
     p_classify.add_argument("--a", default="all", type=_parse_span_or_all,
-                            help="edge offset, range, or 'all' (default)")
+                            help="edge offset, range, or 'all' (default); "
+                                 "write --a=LO..HI when LO < 0")
     p_classify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_classify.set_defaults(func=cmd_classify)
 

@@ -3,12 +3,11 @@
 and the continuous-time transition matrix exp(-itL).
 
 A Spectrum holds eigenvectors grouped by eigenvalue and nothing derived
-from them: consumers read eigenvector rows in O(n^2), and the (m, n, n)
-projector array is built only when asked for.
+from them: consumers read eigenvector rows in O(n^2), and no
+eigenprojector F_r = V_r V_r^T is ever formed.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ class Spectrum:
     eigenvalues: (m,) strictly increasing distinct values
     multiplicities: (m,) positive ints summing to n
     eigenvectors: (n, n) orthonormal columns; group r is the
-        multiplicities[r] columns from group_starts[r] on
+        multiplicities[r] columns V_r from group_starts[r] on
     """
 
     eigenvalues: np.ndarray
@@ -54,21 +53,6 @@ class Spectrum:
         """(m,) norms ||F_r x|| = ||V_r^T x|| of x's eigenspace components."""
         coords = x @ self.eigenvectors
         return np.sqrt(np.add.reduceat(coords * coords, self.group_starts))
-
-    @functools.cached_property
-    def projectors(self) -> np.ndarray:
-        """(m, n, n) symmetric idempotents, one per distinct eigenvalue.
-
-        Built on first access and kept, read-only: m * n * n floats, 8 GB
-        at n = 1000 for a simple spectrum. Verification and tests use it;
-        the sweep path does not.
-        """
-        vecs = self.eigenvectors
-        blocks = (vecs[:, lo:lo + k]
-                  for lo, k in zip(self.group_starts, self.multiplicities))
-        projectors = np.array([block @ block.T for block in blocks])
-        projectors.flags.writeable = False
-        return projectors
 
 
 def path_spectrum(n: int) -> Spectrum:
@@ -131,24 +115,30 @@ def transition_matrix(s: Spectrum, t: float) -> np.ndarray:
 def projector_residuals(s: Spectrum, lap: np.ndarray | None = None) -> dict[str, float]:
     """Max-norm residuals of the projector algebra, for verification.
 
-    Keys: idempotent (F^2 - F), orthogonal (F_r F_s, r != s),
-    resolution (sum F - I), reconstruction (sum theta F - L, if lap given),
-    each the worst case over the spectrum.
+    Keys, each the worst case over the spectrum: idempotent (F_r^2 - F_r),
+    orthogonal (F_r F_s, r != s), resolution (sum F_r - I) and, if lap is
+    given, reconstruction (sum theta_r F_r - L). With G = V^T V,
+    F_r^2 - F_r = V_r (G_rr - I) V_r^T and F_r F_s = V_r G_rs V_s^T, so the
+    first two are read as B[r, s] rho_r rho_s: B[r, s] is the Frobenius
+    norm of block (r, s) of G - I, rho_r the largest row norm of V_r. That
+    is the exact max entry for simple eigenvalues and a Cauchy-Schwarz
+    upper bound for a repeated one. Cost: G plus two n x n products, V V^T
+    and (V theta) V^T, O(n^3); nothing of size m * n^2 is built.
     """
-    m, n, _ = s.projectors.shape
+    vecs = s.eigenvectors
+    starts = s.group_starts
+    eye = np.eye(s.n)
+    gap = vecs.T @ vecs - eye
+    block = np.sqrt(np.add.reduceat(
+        np.add.reduceat(gap * gap, starts, axis=0), starts, axis=1))
+    rho = np.sqrt(np.add.reduceat(vecs * vecs, starts, axis=1).max(axis=0))
+    bound = block * np.outer(rho, rho)
     res = {
-        "idempotent": 0.0,
-        "orthogonal": 0.0,
-        "resolution": float(np.abs(s.projectors.sum(axis=0) - np.eye(n)).max()),
+        "idempotent": float(np.diag(bound).max()),
+        "orthogonal": float(np.triu(bound, 1).max()),    # bound is symmetric
+        "resolution": float(np.abs(vecs @ vecs.T - eye).max()),
     }
-    for r in range(m):
-        fr = s.projectors[r]
-        res["idempotent"] = max(res["idempotent"], float(np.abs(fr @ fr - fr).max()))
-        if r + 1 < m:
-            # one batched contraction for F_r F_s over all s > r
-            cross = np.tensordot(fr, s.projectors[r + 1:], axes=([1], [1]))
-            res["orthogonal"] = max(res["orthogonal"], float(np.abs(cross).max()))
     if lap is not None:
-        rebuilt = np.einsum("r,rij->ij", s.eigenvalues, s.projectors)
-        res["reconstruction"] = float(np.abs(rebuilt - np.asarray(lap, dtype=float)).max())
+        rebuilt = (vecs * np.repeat(s.eigenvalues, s.multiplicities)) @ vecs.T
+        res["reconstruction"] = float(np.abs(rebuilt - lap).max())
     return res

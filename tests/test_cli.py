@@ -136,6 +136,18 @@ def test_classify_partial_a_range_keeps_rows(capsys):
     assert "note:" not in err
 
 
+def test_classify_range_below_zero_needs_equals_form(capsys):
+    # argparse takes "-3..2" for an option name unless it is joined by "="
+    code, out, err = _run(capsys, ["classify", "--n", "5", "--a=-3..2"])
+    assert code == 0
+    assert out.splitlines()[2:] == ["5,1,yes,odd-prime", "5,2,yes,odd-prime"]
+    assert "note: --a values outside 1..n-1 skipped: n=5 a=-3..0" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--n", "5", "--a", "-3..2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_classify_empty_range_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--n", "5..3"])

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _oracles import projectors
 from _strategies import graphs_with_pairs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -121,8 +122,8 @@ def test_kernel_never_supported_on_connected_graphs():
 def test_support_weights_sum_to_two():
     s = path_spectrum(13)
     u = pair_vector(13, (4, 5))
-    total = sum(np.linalg.norm(s.projectors[r] @ u) ** 2
-                for r in support(s, (4, 5)))
+    f = projectors(s)
+    total = sum(np.linalg.norm(f[r] @ u) ** 2 for r in support(s, (4, 5)))
     assert total == pytest.approx(2.0, abs=1e-9)
 
 
@@ -267,8 +268,8 @@ def test_transfer_weights_match_projector_quadratic_form():
     u = pair_vector(6, (1, 2))
     v = pair_vector(6, (5, 6))
     w = transfer_weights(s, (1, 2), (5, 6))
-    for r in range(s.eigenvalues.size):
-        assert w[r] == pytest.approx(float(u @ s.projectors[r] @ v), abs=1e-14)
+    for r, f in enumerate(projectors(s)):
+        assert w[r] == pytest.approx(float(u @ f @ v), abs=1e-14)
 
 
 def test_pair_vector_validation():
@@ -304,7 +305,7 @@ def _family_graphs():
 
 
 def test_transfer_weights_match_projector_einsum():
-    # Reference: the weights were this einsum over the stored projectors.
+    # Reference: the weights as an einsum over the projectors.
     rng = np.random.default_rng(23)
     checked = repeated = 0
     for g in _family_graphs():
@@ -312,11 +313,12 @@ def test_transfer_weights_match_projector_einsum():
         spectra = [s, path_spectrum(g.n)] if g.n >= 2 else [s]
         repeated += int((s.multiplicities > 1).any())
         for spec in spectra:
+            f = projectors(spec)
             for _ in range(8):
                 frm = tuple(int(x) for x in rng.choice(g.n, 2, replace=False) + 1)
                 to = tuple(int(x) for x in rng.choice(g.n, 2, replace=False) + 1)
                 u, v = pair_vector(g.n, frm), pair_vector(g.n, to)
-                expected = np.einsum("i,rij,j->r", u, spec.projectors, v)
+                expected = np.einsum("i,rij,j->r", u, f, v)
                 got = transfer_weights(spec, frm, to)
                 assert np.abs(got - expected).max() <= 1e-15, (g, frm, to)
                 checked += 1
@@ -338,18 +340,6 @@ def test_transfer_weights_allocate_no_square_array():
         tracemalloc.stop()
     assert w.shape == (257,)
     assert peak < 8 * n * 8    # a few n-vectors; an n x n array is 2 MiB
-
-
-def test_numeric_path_does_not_build_projectors():
-    s = eigendecompose(laplacian(Graph(8, frozenset(
-        (min(k, k % 8 + 1), max(k, k % 8 + 1)) for k in range(1, 9)))))
-    transfer_weights(s, (1, 2), (5, 6))
-    support(s, (1, 2))
-    strong_cospectrality(s, (1, 2), (5, 6))
-    fidelity_sweep(s, (1, 2), (5, 6), 10.0, 100)
-    assert "projectors" not in vars(s)
-    assert s.projectors.shape == (5, 8, 8)
-    assert "projectors" in vars(s)
 
 
 @pytest.mark.parametrize("pos", [0, 1, 6, 7])

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import projectors
 from _strategies import graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +46,7 @@ def test_eigendecompose_matches_closed_form_p3():
     s_exact = path_spectrum(3)
     s_num = eigendecompose(laplacian(make_path(3)))
     assert np.abs(s_exact.eigenvalues - s_num.eigenvalues).max() < 1e-10
-    assert np.abs(s_exact.projectors - s_num.projectors).max() < 1e-10
+    assert np.abs(projectors(s_exact) - projectors(s_num)).max() < 1e-10
 
 
 def test_eigendecompose_zero_matrix():
@@ -51,7 +54,7 @@ def test_eigendecompose_zero_matrix():
     assert s.eigenvalues.shape == (1,)
     assert s.eigenvalues[0] == pytest.approx(0.0, abs=1e-15)
     assert s.multiplicities[0] == 3
-    assert np.abs(s.projectors[0] - np.eye(3)).max() < 1e-12
+    assert np.abs(projectors(s)[0] - np.eye(3)).max() < 1e-12
 
 
 def _complete(n):
@@ -65,13 +68,17 @@ def _hypercube(d):
                               for b in range(d) if u < u ^ (1 << b)))
 
 
+def _cycle(n):
+    return Graph(n, frozenset((min(k, k % n + 1), max(k, k % n + 1))
+                              for k in range(1, n + 1)))
+
+
 def test_eigendecompose_four_cycle_grouping():
     # Degenerate Laplacian spectra: LAPACK returns an arbitrary basis inside
     # each repeated eigenspace, so grouping must rebuild the projectors.
     # The 4-cycle factors as x (x-2)^2 (x-4).
     cases = [
-        (Graph(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})),
-         [0.0, 2.0, 4.0], [1, 2, 1]),
+        (_cycle(4), [0.0, 2.0, 4.0], [1, 2, 1]),
         (_complete(5), [0.0, 5.0], [1, 4]),
         (_hypercube(3), [0.0, 2.0, 4.0, 6.0], [1, 3, 3, 1]),
         (Graph(5, frozenset({(1, 2), (1, 3), (1, 4), (1, 5)})),
@@ -116,6 +123,60 @@ def test_projector_algebra_on_paths():
         assert max(res.values()) < 1e-9, (n, res)
 
 
+def _scale_column(s):
+    vecs = s.eigenvectors.copy()
+    vecs[:, 1] *= 1.001
+    return replace(s, eigenvectors=vecs)
+
+
+def _turn_column(s):
+    # Turn the first column toward the last, of another group, by 1e-3 rad.
+    # Turning both columns (a rotation) would keep V orthogonal, and with it
+    # the projectors.
+    vecs = s.eigenvectors.copy()
+    vecs[:, 0] = math.cos(1e-3) * vecs[:, 0] + math.sin(1e-3) * vecs[:, -1]
+    return replace(s, eigenvectors=vecs)
+
+
+def _shift_eigenvalue(s):
+    eigenvalues = s.eigenvalues.copy()
+    eigenvalues[-1] += 1e-3
+    return replace(s, eigenvalues=eigenvalues)
+
+
+# K5's spectrum is 0 and a four-dimensional 5: every fault below touches it
+@pytest.mark.parametrize("graph", [make_path(6), _complete(5)],
+                         ids=["P6", "K5"])
+@pytest.mark.parametrize("fault, keys", [
+    (_scale_column, ("idempotent", "resolution")),
+    (_turn_column, ("orthogonal",)),
+    (_shift_eigenvalue, ("reconstruction",)),
+], ids=["scale", "turn", "shift"])
+def test_projector_residuals_detect_broken_spectra(graph, fault, keys):
+    lap = laplacian(graph)
+    s = eigendecompose(lap)
+    assert max(projector_residuals(s, lap).values()) < 1e-12
+    res = projector_residuals(fault(s), lap)
+    assert all(res[key] > 1e-6 for key in keys), res
+
+
+def test_projector_residuals_scale_on_repeated_spectrum():
+    # C512: 255 two-dimensional eigenspaces; the (m, n, n) projector stack
+    # alone would take 257 * 512**2 * 8 bytes = 539 MB
+    n = 512
+    lap = laplacian(_cycle(n))
+    s = eigendecompose(lap)
+    assert (s.multiplicities == 2).sum() == 255
+    tracemalloc.start()
+    try:
+        res = projector_residuals(s, lap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(res.values()) < 1e-9, res
+    assert peak < 8 * n * n * 8    # eight n x n float arrays, 16 MiB
+
+
 def test_transition_matrix_identity_at_zero():
     s = path_spectrum(6)
     u = transition_matrix(s, 0.0)
@@ -126,7 +187,8 @@ def test_transition_matrix_identity_at_zero():
 def test_transition_matrix_p2_half_period():
     s = path_spectrum(2)
     u = transition_matrix(s, math.pi / 2)
-    expected = s.projectors[0] - s.projectors[1]
+    f = projectors(s)
+    expected = f[0] - f[1]
     assert np.abs(u - expected).max() < 1e-12
 
 
@@ -138,7 +200,7 @@ def test_transition_matrix_matches_projector_sum():
         s = eigendecompose(laplacian(graph))
         for t in (0.3, 7.0, 123.4):
             expected = np.einsum("r,rij->ij", np.exp(-1j * t * s.eigenvalues),
-                                 s.projectors)
+                                 projectors(s))
             assert np.abs(transition_matrix(s, t) - expected).max() < 1e-12
 
 
@@ -147,7 +209,7 @@ def test_group_norms_match_projector_norms():
     for graph in (_complete(6), _hypercube(3), make_path(9)):
         s = eigendecompose(laplacian(graph))
         x = rng.normal(size=graph.n)
-        expected = np.linalg.norm(s.projectors @ x, axis=1)
+        expected = np.linalg.norm(projectors(s) @ x, axis=1)
         assert np.abs(s.group_norms(x) - expected).max() < 1e-12
 
 
